@@ -1,44 +1,25 @@
-"""Numerical kernels with a numba fast path and a numpy/python fallback.
+"""Numerical kernels: special functions and cell location.
 
 The Monte Carlo engine evaluates the standard normal CDF on the order of a
 million times per experiment and locates every observation in a covariate
-partition once per replication, so those inner loops are compiled with
-numba @njit(cache=True). A second implementation of each kernel written in
-vectorized numpy (arrays) or plain python (scalars) serves as the fallback.
-
-Backend selection: numba when importable, unless the environment variable
-CONDGOF_DISABLE_NUMBA is set to a non-empty value other than 0/false.
-set_backend("numba"|"numpy") switches at runtime; tests and the benchmark
-use it to compare the two paths on identical inputs.
-
-The special functions are deliberately self-contained scalar routines so the
-same source can be compiled by numba and executed by CPython:
+partition once per replication, so the array kernels are vectorized numpy;
+the scalar special functions are plain python.
 
 - _erfc_scalar: complementary error function via the classic three-regime
-  rational approximations (Cody 1969), good to ~1e-15 relative.
+  rational approximations (Cody 1969), good to ~1e-15 relative. _erfc_np
+  is the same approximation over arrays.
 - _chisq_sf_scalar: regularized upper incomplete gamma Q(df/2, x/2) via a
   lower-tail power series for small x and a Lentz-style continued fraction
-  for the upper tail, good to ~1e-13 absolute.
+  for the upper tail; chisq_sf states its measured accuracy.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 from .errors import InvalidArgumentError
-
-_ENV_FLAG = "CONDGOF_DISABLE_NUMBA"
-
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAS_NUMBA = False
 
 _INV_SQRT2 = 0.7071067811865476
 _RSQRTPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
@@ -162,7 +143,8 @@ def _chisq_sf_scalar(x: float, df: float) -> float:
         r = a
         c = 1.0
         s = 1.0
-        for _ in range(3000):
+        # the terms needed grow like sqrt(df) near the median x = df
+        for _ in range(3000 + int(40.0 * math.sqrt(df))):
             r += 1.0
             c *= x2 / r
             s += c
@@ -211,7 +193,7 @@ def _chisq_sf_scalar(x: float, df: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback implementations (vectorized where it matters)
+# vectorized numpy kernels
 # ---------------------------------------------------------------------------
 
 
@@ -274,101 +256,11 @@ def _erfc_np(x):
     return out
 
 
-def _normal_cdf_np(z):
-    return 0.5 * _erfc_np(-np.asarray(z, dtype=np.float64) * _INV_SQRT2)
-
-
-def _locate_cells_np(points, lows, ups):
-    # membership is lower < x <= upper in every coordinate
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
-    step = 1 << 16
-    for start in range(0, n, step):
-        chunk = points[start : start + step]
-        inside = np.all(
-            (chunk[:, None, :] > lows[None, :, :]) & (chunk[:, None, :] <= ups[None, :, :]),
-            axis=2,
-        )
-        hit = inside.any(axis=1)
-        idx = inside.argmax(axis=1)
-        res = np.where(hit, idx, -1)
-        out[start : start + step] = res
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba fast path
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-    _erfc_nb = numba.njit(cache=True)(_erfc_scalar)
-    _chisq_sf_nb = numba.njit(cache=True)(_chisq_sf_scalar)
-
-    @numba.njit(cache=True)
-    def _normal_cdf_arr_nb(z):
-        out = np.empty(z.shape[0], dtype=np.float64)
-        for i in range(z.shape[0]):
-            out[i] = 0.5 * _erfc_nb(-z[i] * _INV_SQRT2)
-        return out
-
-    @numba.njit(cache=True)
-    def _erfc_arr_nb(x):
-        out = np.empty(x.shape[0], dtype=np.float64)
-        for i in range(x.shape[0]):
-            out[i] = _erfc_nb(x[i])
-        return out
-
-    @numba.njit(cache=True)
-    def _locate_cells_nb(points, lows, ups):
-        n, k = points.shape
-        nj = lows.shape[0]
-        out = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            for j in range(nj):
-                ok = True
-                for d in range(k):
-                    v = points[i, d]
-                    if v <= lows[j, d] or v > ups[j, d]:
-                        ok = False
-                        break
-                if ok:
-                    out[i] = j
-                    break
-        return out
-
-
-def _env_disabled() -> bool:
-    raw = os.environ.get(_ENV_FLAG, "").strip().lower()
-    return raw not in ("", "0", "false")
-
-
-_BACKEND = "numba" if (HAS_NUMBA and not _env_disabled()) else "numpy"
-
-
-def active_backend() -> str:
-    """Name of the backend currently answering kernel calls."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch between the "numba" and "numpy" kernel implementations."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise InvalidArgumentError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-    if name == "numba" and not HAS_NUMBA:
-        raise InvalidArgumentError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
 def erfc(x):
     """Complementary error function, scalar or 1-d array."""
     if np.ndim(x) == 0:
         return _erfc_scalar(float(x))
-    arr = np.ascontiguousarray(x, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _erfc_arr_nb(arr)
-    return _erfc_np(arr)
+    return _erfc_np(np.ascontiguousarray(x, dtype=np.float64))
 
 
 def std_normal_cdf(z: float) -> float:
@@ -378,10 +270,7 @@ def std_normal_cdf(z: float) -> float:
 
 def normal_cdf(z):
     """Standard normal CDF over a 1-d array."""
-    arr = np.ascontiguousarray(z, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _normal_cdf_arr_nb(arr)
-    return _normal_cdf_np(arr)
+    return 0.5 * _erfc_np(-np.ascontiguousarray(z, dtype=np.float64) * _INV_SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:
@@ -404,7 +293,12 @@ def chisq_sf(x: float, df) -> float:
     """Chi-square survival function P(X > x) with df degrees of freedom.
 
     Regularized upper incomplete gamma Q(df/2, x/2): a power series below
-    x = df + 1 and a continued fraction above. Absolute error <= 1e-10.
+    x = df + 1 and a continued fraction above. Absolute error, measured
+    against mpmath at x = df + z * sqrt(2 df) for z in [-6, 10] over about
+    120 values of df per range: below 2e-14 for df <= 100, 5e-13 for
+    df <= 10^3, 7e-12 for df <= 10^4, 6e-11 for df <= 10^5 and 7e-10 for
+    df <= 10^6. The error comes from rounding in the log prefactor and grows
+    with df; no bound is stated above 10^6.
     """
     df = float(df)
     x = float(x)
@@ -414,16 +308,26 @@ def chisq_sf(x: float, df) -> float:
         raise InvalidArgumentError("x must not be NaN")
     if x < 0.0:
         raise InvalidArgumentError(f"x must be nonnegative, got {x}")
-    if _BACKEND == "numba":
-        return float(_chisq_sf_nb(x, df))
     return _chisq_sf_scalar(x, df)
 
 
 def locate_cells(points: np.ndarray, lows: np.ndarray, ups: np.ndarray) -> np.ndarray:
-    """Index (0-based) of the unique cell containing each point, -1 if none."""
+    """Index (0-based) of the unique cell containing each point, -1 if none.
+
+    Membership is lower < x <= upper in every coordinate; a point inside
+    several cells gets the first.
+    """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     lo = np.ascontiguousarray(lows, dtype=np.float64)
     up = np.ascontiguousarray(ups, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _locate_cells_nb(pts, lo, up)
-    return _locate_cells_np(pts, lo, up)
+    n = pts.shape[0]
+    out = np.full(n, -1, dtype=np.int64)
+    step = 1 << 16
+    for start in range(0, n, step):
+        chunk = pts[start : start + step]
+        inside = np.all(
+            (chunk[:, None, :] > lo[None, :, :]) & (chunk[:, None, :] <= up[None, :, :]),
+            axis=2,
+        )
+        out[start : start + step] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    return out

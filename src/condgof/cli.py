@@ -23,11 +23,12 @@ from .errors import (
     DataError,
     InvalidArgumentError,
     InvalidParameterError,
+    UncoveredPointError,
     UsageError,
 )
-from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
-from .mc import config_from_dict, run_experiment
-from .models import Dataset, resolve_model, rosenblatt
+from .estimate import OptimizerConfig
+from .mc import config_from_dict, run_experiment, run_pipeline
+from .models import Dataset, resolve_model
 from .partition import (
     Partition,
     cell_counts,
@@ -37,16 +38,8 @@ from .partition import (
     partition_to_dict,
     rtp_partition,
 )
-from .stats import (
-    DfConvention,
-    DfPolicy,
-    EstimatorKind,
-    StatKind,
-    TestReport,
-    WaldInputs,
-    run_test,
-)
-from .tabulate import balanced_grid, cross_classify
+from .stats import TestReport
+from .tabulate import balanced_grid
 
 _ESTIMATOR_FLAGS = {
     "known": "known",
@@ -144,10 +137,28 @@ def _report_to_dict(rep: TestReport) -> dict:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
+
+
+def _read_partition_file(path: str) -> Partition:
+    """Partition from a JSON file; any problem with the file is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        # accept both a bare partition object and a cmd_partition document
+        if isinstance(doc, dict) and "partition" in doc and "cells" not in doc:
+            doc = doc["partition"]
+        return partition_from_dict(doc)
+    except OSError as exc:
+        raise DataError(f"cannot open partition file {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or UTF-8, or a malformed document
+        raise DataError(f"{path}: invalid partition file: {exc}") from exc
 
 
 def cmd_test(args) -> int:
@@ -162,15 +173,7 @@ def cmd_test(args) -> int:
 
     seed = 0 if args.seed is None else args.seed
     if args.partition_file:
-        with open(args.partition_file, "r", encoding="utf-8") as fh:
-            try:
-                part_doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{args.partition_file}: invalid JSON: {exc}") from exc
-        # accept both a bare partition object and a cmd_partition document
-        if isinstance(part_doc, dict) and "partition" in part_doc and "cells" not in part_doc:
-            part_doc = part_doc["partition"]
-        partition = partition_from_dict(part_doc)
+        partition = _read_partition_file(args.partition_file)
         if partition.k != data.k:
             raise DataError(
                 f"partition file has dimension {partition.k}, data has {data.k}"
@@ -186,6 +189,7 @@ def cmd_test(args) -> int:
         partition = marginal_grid_partition(data.x, args.T)
         partition_desc = {"kind": "grid", "T": args.T}
 
+    theta = None
     if estimator == "known":
         if args.theta is None:
             raise UsageError("estimator 'known' requires --theta")
@@ -193,45 +197,22 @@ def cmd_test(args) -> int:
             theta = model.validate_theta(_parse_theta(args.theta, model.param_dim))
         except InvalidParameterError as exc:
             raise UsageError(f"invalid --theta: {exc}") from exc
-        p_adjust = 0
-    else:
-        if model.name == "gaussian_linear":
-            theta = mle_gaussian_linear(data)
-        else:
-            theta = mle_numeric(
-                model,
-                data,
-                np.zeros(model.param_dim),
-                OptimizerConfig(max_iterations=500, tolerance=1e-6),
-            )
-        p_adjust = model.param_dim
 
-    grid = balanced_grid(args.L)
-    if estimator == "min_chisq":
-        theta = min_chisq_estimate(
-            model, data, grid, partition, theta, OptimizerConfig(restarts=2, seed=seed)
+    try:
+        theta, table, reports = run_pipeline(
+            model,
+            data,
+            partition,
+            balanced_grid(args.L),
+            estimator,
+            stats,
+            args.df_policy,
+            theta,
+            OptimizerConfig(restarts=2, seed=seed),
         )
-
-    v = rosenblatt(model, theta, data)
-    table = cross_classify(v, data.x, grid, partition)
-    policy = DfPolicy(DfConvention(args.df_policy), p_adjust=p_adjust)
-    est_kind = EstimatorKind(estimator)
-    wald_in = WaldInputs(model=model, theta_hat=theta, data=data, grid=grid, partition=partition)
-
-    results = []
-    for name in stats:
-        if name == "wald":
-            kind = StatKind.WALD_RAW_MLE if est_kind is EstimatorKind.RAW_MLE else StatKind.WALD_NULL
-        else:
-            kind = StatKind(name)
-        rep = run_test(
-            kind,
-            table,
-            policy,
-            estimator=est_kind,
-            wald_inputs=wald_in if kind is StatKind.WALD_RAW_MLE else None,
-        )
-        results.append((name, rep))
+    except UncoveredPointError as exc:
+        # only a partition read from a file can leave data uncovered
+        raise DataError(f"{args.partition_file}: {exc}") from exc
 
     doc = {
         "version": __version__,
@@ -255,11 +236,12 @@ def cmd_test(args) -> int:
             "widths": table.widths.tolist(),
             "n": int(table.n),
         },
-        "results": [dict(_report_to_dict(rep), stat=name) for name, rep in results],
+        "results": [dict(_report_to_dict(reports[name]), stat=name) for name in stats],
     }
     _emit(doc, args.out)
     if args.out:
-        for name, rep in results:
+        for name in stats:
+            rep = reports[name]
             if rep.p_value is not None:
                 print(f"{name}: value={rep.value:.6g} p={rep.p_value:.4g}")
             else:

@@ -14,6 +14,10 @@ class InvalidArgumentError(CondgofError, ValueError):
     """An argument violates a documented precondition (shape, range, enum)."""
 
 
+class UncoveredPointError(InvalidArgumentError):
+    """A point lies in no cell of a partition."""
+
+
 class InvalidParameterError(CondgofError):
     """A model parameter vector violates the family's constraints."""
 

@@ -35,7 +35,7 @@ from .errors import (
 from .models import ConditionalModel, Dataset, GaussianLinearModel, log_likelihood, rosenblatt
 from .partition import Partition
 from .stats import pearson_stat
-from .tabulate import UGrid, cross_classify
+from .tabulate import UGrid, tabulate_cells
 
 _SIGMA_MIN = 1e-12
 
@@ -212,17 +212,20 @@ def min_chisq_estimate(
     """Parameter value minimizing the Pearson statistic of the table.
 
     Derivative-free simplex from init plus config.restarts seeded restarts;
-    never returns a point with a larger objective than init.
+    never returns a point with a larger objective than init. The covariate
+    cells are located once, before the simplex starts, so a partition that
+    does not cover the data raises InvalidArgumentError.
     """
     theta0 = model.validate_theta(init)
     log_idx = model.log_scale_indices()
+    cells = partition.locate0(data.x)
 
     def objective(phi: np.ndarray) -> float:
         theta = _from_internal(phi, log_idx)
         try:
             model.validate_theta(theta)
             v = rosenblatt(model, theta, data)
-            table = cross_classify(v, data.x, grid, partition)
+            table = tabulate_cells(v, cells, grid, partition.J)
             return pearson_stat(table)
         except Exception:
             return np.inf

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
 from .models import ConditionalModel, Dataset, resolve_model, rosenblatt
-from .partition import Cell, Partition, gessaman_partition, rtp_partition
+from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import (
     DfConvention,
     DfPolicy,
@@ -38,9 +38,14 @@ from .stats import (
     WaldInputs,
     run_test,
 )
-from .tabulate import balanced_grid, cross_classify
+from .tabulate import ContingencyTable, UGrid, balanced_grid, tabulate_cells
 
-DGP_FAMILIES = ("gaussian_linear", "gaussian_heteroskedastic", "exponential_regression")
+# family -> number of true parameters beyond k
+DGP_FAMILIES = {
+    "gaussian_linear": 2,
+    "gaussian_heteroskedastic": 2,
+    "exponential_regression": 1,
+}
 COVARIATE_LAWS = ("uniform", "normal")
 
 
@@ -57,7 +62,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in DGP_FAMILIES:
             raise InvalidArgumentError(
-                f"unknown dgp family {self.family!r}; known: {DGP_FAMILIES}"
+                f"unknown dgp family {self.family!r}; known: {tuple(DGP_FAMILIES)}"
             )
         if self.covariate_law not in COVARIATE_LAWS:
             raise InvalidArgumentError(
@@ -66,6 +71,12 @@ class DgpSpec:
         if self.n < 1 or self.k < 1:
             raise InvalidArgumentError("n and k must be >= 1")
         object.__setattr__(self, "true_params", tuple(float(v) for v in self.true_params))
+        want = self.k + DGP_FAMILIES[self.family]
+        if len(self.true_params) != want:
+            raise InvalidArgumentError(
+                f"{self.family} with k={self.k} needs {want} true parameters, "
+                f"got {len(self.true_params)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,16 @@ class SimConfig:
             )
         if self.estimator == "known" and self.theta is None:
             raise InvalidArgumentError("estimator 'known' requires theta")
+        param_dim = resolve_model(self.model, self.dgp.k).param_dim
         object.__setattr__(self, "stats", tuple(self.stats))
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if self.theta is not None:
             object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+            if len(self.theta) != param_dim:
+                raise InvalidArgumentError(
+                    f"model {self.model!r} needs {param_dim} theta values, "
+                    f"got {len(self.theta)}"
+                )
 
 
 def law_grid_partition(law: str, k: int, T: int) -> Partition:
@@ -144,22 +161,7 @@ def law_grid_partition(law: str, k: int, T: int) -> Partition:
     else:
         raise InvalidArgumentError(f"unknown covariate law {law!r}")
     edges = [-np.inf] + inner + [np.inf]
-    cells: list[Cell] = []
-    index = [0] * k
-    while True:
-        lo = np.array([edges[index[d]] for d in range(k)])
-        up = np.array([edges[index[d] + 1] for d in range(k)])
-        cells.append(Cell(lo, up))
-        d = k - 1
-        while d >= 0:
-            index[d] += 1
-            if index[d] < T:
-                break
-            index[d] = 0
-            d -= 1
-        if d < 0:
-            break
-    return Partition(cells, origin="fixed", T=T)
+    return product_partition([edges] * k)
 
 
 def simulate_dataset(dgp: DgpSpec, rng: np.random.Generator) -> Dataset:
@@ -172,19 +174,13 @@ def simulate_dataset(dgp: DgpSpec, rng: np.random.Generator) -> Dataset:
     theta = np.asarray(dgp.true_params)
     design = np.hstack([np.ones((n, 1)), x])
     if dgp.family == "gaussian_linear":
-        if theta.shape[0] != k + 2:
-            raise InvalidArgumentError("gaussian_linear needs k + 2 parameters")
         mu = design @ theta[:-1]
         y = mu + theta[-1] * rng.standard_normal(n)
     elif dgp.family == "gaussian_heteroskedastic":
-        if theta.shape[0] != k + 2:
-            raise InvalidArgumentError("gaussian_heteroskedastic needs k + 2 parameters")
         mu = design @ theta[:-1]
         scale = theta[-1] * (1.0 + np.abs(x[:, 0]))
         y = mu + scale * rng.standard_normal(n)
     else:  # exponential_regression
-        if theta.shape[0] != k + 1:
-            raise InvalidArgumentError("exponential_regression needs k + 1 parameters")
         rate = np.exp(design @ theta)
         y = rng.exponential(1.0, size=n) / rate
     return Dataset(y=y, x=x)
@@ -218,26 +214,61 @@ def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> Partition
     return part
 
 
-def _estimate_theta(cfg: SimConfig, model: ConditionalModel, data: Dataset):
-    """Known theta or the raw-data MLE; min_chisq refines the MLE later."""
-    if cfg.estimator == "known":
-        return np.asarray(cfg.theta), 0
-    if model.name == "gaussian_linear":
-        theta_raw = mle_gaussian_linear(data)
+def run_pipeline(
+    model: ConditionalModel,
+    data: Dataset,
+    partition: Partition,
+    grid: UGrid,
+    estimator: str,
+    stats: tuple[str, ...] | list[str],
+    df_convention: str,
+    theta,
+    min_chisq_config: OptimizerConfig,
+) -> tuple[np.ndarray, ContingencyTable, dict[str, TestReport]]:
+    """Estimate, transform, tabulate and test one dataset.
+
+    The single implementation behind `condgof test` and run_replication.
+    estimator is "known" (theta is used as given), "raw_mle" (closed-form
+    Gaussian MLE, otherwise mle_numeric from zero) or "min_chisq" (the raw
+    MLE refined by min_chisq_estimate under min_chisq_config). Covariate
+    cells are located once and shared by the table and the raw-MLE Wald.
+    Returns (theta, table, reports by statistic name).
+    """
+    cells = partition.locate0(data.x)
+    if estimator == "known":
+        theta, p_adjust = np.asarray(theta), 0
     else:
-        theta_raw = mle_numeric(
-            model,
-            data,
-            np.zeros(model.param_dim),
-            OptimizerConfig(max_iterations=500, tolerance=1e-6),
+        if model.name == "gaussian_linear":
+            theta = mle_gaussian_linear(data)
+        else:
+            theta = mle_numeric(
+                model,
+                data,
+                np.zeros(model.param_dim),
+                OptimizerConfig(max_iterations=500, tolerance=1e-6),
+            )
+        p_adjust = model.param_dim
+    if estimator == "min_chisq":
+        theta = min_chisq_estimate(model, data, grid, partition, theta, min_chisq_config)
+
+    v = rosenblatt(model, theta, data)
+    table = tabulate_cells(v, cells, grid, partition.J)
+
+    estimator_kind = EstimatorKind(estimator)
+    policy = DfPolicy(DfConvention(df_convention), p_adjust=p_adjust)
+    wald_in = WaldInputs(model=model, theta_hat=theta, data=data, grid=grid, cells=cells)
+    reports = {}
+    for name in stats:
+        if name != "wald":
+            kind = StatKind(name)
+        elif estimator_kind is EstimatorKind.RAW_MLE:
+            kind = StatKind.WALD_RAW_MLE
+        else:
+            kind = StatKind.WALD_NULL
+        reports[name] = run_test(
+            kind, table, policy, estimator=estimator_kind, wald_inputs=wald_in
         )
-    return theta_raw, model.param_dim
-
-
-def _resolve_stat(name: str, estimator: str) -> StatKind:
-    if name == "wald":
-        return StatKind.WALD_RAW_MLE if estimator == "raw_mle" else StatKind.WALD_NULL
-    return StatKind(name)
+    return theta, table, reports
 
 
 def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
@@ -248,36 +279,17 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
         data = simulate_dataset(cfg.dgp, data_rng)
         model = resolve_model(cfg.model, cfg.dgp.k)
         partition = _build_partition(cfg, data.x, part_seed)
-        grid = balanced_grid(cfg.L)
-
-        theta, p_adjust = _estimate_theta(cfg, model, data)
-        if cfg.estimator == "min_chisq":
-            theta = min_chisq_estimate(
-                model,
-                data,
-                grid,
-                partition,
-                theta,
-                OptimizerConfig(restarts=2, seed=est_seed, max_iterations=200),
-            )
-
-        v = rosenblatt(model, theta, data)
-        table = cross_classify(v, data.x, grid, partition)
-
-        estimator_kind = EstimatorKind(cfg.estimator)
-        policy = DfPolicy(DfConvention(cfg.df_convention), p_adjust=p_adjust)
-        wald_in = WaldInputs(
-            model=model, theta_hat=theta, data=data, grid=grid, partition=partition
+        _theta, _table, outcome.reports = run_pipeline(
+            model,
+            data,
+            partition,
+            balanced_grid(cfg.L),
+            cfg.estimator,
+            cfg.stats,
+            cfg.df_convention,
+            cfg.theta,
+            OptimizerConfig(restarts=2, seed=est_seed, max_iterations=200),
         )
-        for name in cfg.stats:
-            kind = _resolve_stat(name, cfg.estimator)
-            outcome.reports[name] = run_test(
-                kind,
-                table,
-                policy,
-                estimator=estimator_kind,
-                wald_inputs=wald_in if kind is StatKind.WALD_RAW_MLE else None,
-            )
     except CondgofError as exc:
         outcome.reports = {}
         outcome.error = f"{type(exc).__name__}: {exc}"

@@ -29,13 +29,14 @@ raised.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backend
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +135,7 @@ class Partition:
         idx = backend.locate_cells(pts, lo, up)
         if (idx < 0).any():
             bad = int(np.argmax(idx < 0))
-            raise InvalidArgumentError(f"point at row {bad} lies in no cell")
+            raise UncoveredPointError(f"point at row {bad} lies in no cell")
         return idx
 
 
@@ -228,6 +229,20 @@ def gessaman_partition(x, T: int) -> Partition:
     return Partition(cells, origin="gessaman", T=T)
 
 
+def product_partition(edges: list[list[float]]) -> Partition:
+    """Product of the per-axis slices (edges[d][i], edges[d][i + 1]].
+
+    Every axis has the same number T of slices; cells are ordered with the
+    last axis varying fastest.
+    """
+    slices = [list(zip(e[:-1], e[1:])) for e in edges]
+    cells = [
+        Cell(np.array([lo for lo, _ in box]), np.array([up for _, up in box]))
+        for box in itertools.product(*slices)
+    ]
+    return Partition(cells, origin="fixed", T=len(slices[0]))
+
+
 def marginal_grid_partition(x, T: int) -> Partition:
     """Product partition from per-axis marginal equal-count edges.
 
@@ -252,22 +267,7 @@ def marginal_grid_partition(x, T: int) -> Partition:
         vals = np.sort(pts[:, d], kind="stable")
         cuts = _split_cuts(vals, T)
         edges_per_axis.append([-np.inf] + [float(vals[c - 1]) for c in cuts] + [np.inf])
-    cells = []
-    index = [0] * k
-    while True:
-        lo = np.array([edges_per_axis[d][index[d]] for d in range(k)])
-        up = np.array([edges_per_axis[d][index[d] + 1] for d in range(k)])
-        cells.append(Cell(lo, up))
-        d = k - 1
-        while d >= 0:
-            index[d] += 1
-            if index[d] < T:
-                break
-            index[d] = 0
-            d -= 1
-        if d < 0:
-            break
-    return Partition(cells, origin="fixed", T=T)
+    return product_partition(edges_per_axis)
 
 
 class AxisMultiset:
@@ -496,15 +496,15 @@ def partition_from_dict(doc: dict) -> Partition:
         seed = doc.get("seed")
         T = doc.get("T")
         r = doc.get("r")
-    except (KeyError, TypeError) as exc:
+        return Partition(
+            cells,
+            origin=origin,
+            seed=None if seed is None else int(seed),
+            T=None if T is None else int(T),
+            r=None if r is None else int(r),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed partition document: {exc}") from exc
-    return Partition(
-        cells,
-        origin=origin,
-        seed=None if seed is None else int(seed),
-        T=None if T is None else int(T),
-        r=None if r is None else int(r),
-    )
 
 
 def partition_to_json(p: Partition) -> str:

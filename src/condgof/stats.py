@@ -34,7 +34,6 @@ from .errors import (
     SingularInformationError,
 )
 from .models import ConditionalModel, Dataset, rosenblatt
-from .partition import Partition
 from .tabulate import ContingencyTable, UGrid, _bin0, require_positive_columns
 
 _RANK_RTOL = 1e-10
@@ -201,17 +200,18 @@ def wald_raw_mle(
     theta_hat: np.ndarray,
     data: Dataset,
     grid: UGrid,
-    partition: Partition,
+    cells: np.ndarray,
     adjusted: bool = True,
 ) -> tuple[float, int]:
     """Wald statistic at the raw-data MLE with its score-adjusted covariance.
 
     The covariance of the cell discrepancies shrinks when cells move with
     the estimated parameter: Sigma = S_base - C I^{-1} C', where C holds
-    per-cell score means and I the estimated information. Returns the
-    statistic and the numerical rank of Sigma, which is the degrees of
-    freedom of its limiting chi-square law and does not grow back with the
-    number of estimated parameters. adjusted=False drops the correction (the
+    per-cell score means and I the estimated information; cells holds the
+    0-based covariate cell of each row of data. Returns the statistic and
+    the numerical rank of Sigma, which is the degrees of freedom of its
+    limiting chi-square law and does not grow back with the number of
+    estimated parameters. adjusted=False drops the correction (the
     known-parameter case) and reduces to the null quadratic form.
 
     When the model supplies closed forms for both ingredients (expected
@@ -229,7 +229,6 @@ def wald_raw_mle(
 
     if adjusted:
         n = data.n
-        j0 = partition.locate0(data.x)
         info = model.expected_information(data.x, theta)
         ebs = model.bin_score_means(data.x, grid.thresholds, theta)
         if info is not None and ebs is not None:
@@ -238,7 +237,7 @@ def wald_raw_mle(
                     "model moment evaluation produced non-finite values"
                 )
             percell = np.zeros((J, L, model.param_dim))
-            np.add.at(percell, j0, ebs)
+            np.add.at(percell, cells, ebs)
             C = percell.transpose(1, 0, 2).reshape(L * J, model.param_dim) / n
         else:
             scores = model.score(data.y, data.x, theta)
@@ -249,7 +248,7 @@ def wald_raw_mle(
             info = scores.T @ scores / n
             v = rosenblatt(model, theta, data)
             l0 = _bin0(grid, v)
-            cell = l0 * J + j0
+            cell = l0 * J + cells
             C = np.zeros((L * J, model.param_dim))
             np.add.at(C, cell, scores)
             C /= n
@@ -303,7 +302,7 @@ class WaldInputs:
     theta_hat: np.ndarray
     data: Dataset
     grid: UGrid
-    partition: Partition
+    cells: np.ndarray  # 0-based covariate cell per row of data
 
 
 def _point_report(kind, value, estimator, df, warnings) -> TestReport:
@@ -362,7 +361,7 @@ def run_test(
             wald_inputs.theta_hat,
             wald_inputs.data,
             wald_inputs.grid,
-            wald_inputs.partition,
+            wald_inputs.cells,
         )
         return _point_report(kind, value, estimator, rank, warnings)
 

@@ -114,22 +114,26 @@ class ContingencyTable:
 
 def cross_classify(v, x, grid: UGrid, partition: Partition) -> ContingencyTable:
     """Count observations per (response bin, covariate cell) pair."""
+    return tabulate_cells(v, partition.locate0(x), grid, partition.J)
+
+
+def tabulate_cells(v, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTable:
+    """cross_classify with the 0-based covariate cell of each row given.
+
+    Callers that tabulate the same covariates repeatedly locate them once.
+    """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise InvalidArgumentError("v must be 1-d")
     if np.isnan(v).any() or (v < 0.0).any() or (v > 1.0).any():
         raise InvalidArgumentError("transformed responses must lie in [0, 1]")
-    pts = np.asarray(x, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.shape[0] != v.shape[0]:
+    if cells.shape[0] != v.shape[0]:
         raise InvalidArgumentError(
-            f"v has {v.shape[0]} rows but x has {pts.shape[0]}"
+            f"v has {v.shape[0]} rows but x has {cells.shape[0]}"
         )
     l0 = _bin0(grid, v)
-    j0 = partition.locate0(pts)
-    L, J = grid.L, partition.J
-    flat = np.bincount(l0 * J + j0, minlength=L * J)
+    L = grid.L
+    flat = np.bincount(l0 * J + cells, minlength=L * J)
     O = flat.reshape(L, J)
     n = v.shape[0]
     col = O.sum(axis=0)

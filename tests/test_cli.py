@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from condgof.cli import main
+from condgof import Dataset, OptimizerConfig, balanced_grid, gessaman_partition, resolve_model
+from condgof.cli import _ESTIMATOR_FLAGS, _report_to_dict, main, read_csv_columns
+from condgof.mc import run_pipeline
 
 
 @pytest.fixture()
@@ -22,6 +24,10 @@ def gauss_csv(tmp_path):
         lines.append(f"{y[i]:.17g},{x1[i]:.17g},{x2[i]:.17g},{junk[i]}")
     path.write_text("\n".join(lines) + "\n")
     return str(path)
+
+
+def _assert_one_line(err: str) -> None:
+    assert err.count("\n") == 1 and "Traceback" not in err, err
 
 
 def _run_test_cmd(gauss_csv, tmp_path, *extra, name="rep.json"):
@@ -191,6 +197,39 @@ class TestTestCommand:
             r["value"] for r in reuse["results"]
         ]
 
+    @pytest.mark.parametrize("flag", ["raw", "grouped"])
+    def test_report_equals_shared_pipeline(self, gauss_csv, tmp_path, flag):
+        stats = ["pearson", "lr", "wald"]
+        code, out = _run_test_cmd(
+            gauss_csv,
+            tmp_path,
+            "--estimator",
+            flag,
+            "--partition",
+            "gessaman",
+            "--seed",
+            "3",
+            "--stats",
+            ",".join(stats),
+        )
+        assert code == 0
+        doc = json.loads(out.read_text())
+        y, x = read_csv_columns(gauss_csv, "y", ["x1", "x2"])
+        theta, table, reports = run_pipeline(
+            resolve_model("gaussian_linear", 2),
+            Dataset(y=y, x=x),
+            gessaman_partition(x, 2),
+            balanced_grid(4),
+            _ESTIMATOR_FLAGS[flag],
+            stats,
+            "conditional",
+            None,
+            OptimizerConfig(restarts=2, seed=3),
+        )
+        assert doc["config"]["theta"] == theta.tolist()
+        assert doc["table"]["O"] == table.O.tolist()
+        assert doc["results"] == [dict(_report_to_dict(reports[s]), stat=s) for s in stats]
+
 
 class TestPartitionCommand:
     def test_document_shape(self, gauss_csv, tmp_path, capsys):
@@ -279,6 +318,24 @@ class TestSimulateCommand:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("model", "weibull", "unknown model family"),
+            ("theta", [0.5, 1.0, 1.0], "needs 4 theta values"),
+            ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0],
+                     "covariate_law": "uniform", "n": 200, "k": 2}, "true parameters"),
+        ],
+    )
+    def test_config_mismatch_exit_2_before_any_replication(
+        self, tmp_path, capsys, field, value, message
+    ):
+        cfg = self._config(tmp_path, **{field: value})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        _assert_one_line(err)
 
 
 class TestExitCodes:
@@ -451,3 +508,44 @@ class TestExitCodes:
         )
         assert code == 4
         assert "computation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", [None, "{not json", '{"cells": [{"lower": ["abc", 0], "upper": [1, 1]}]}']
+    )
+    def test_unreadable_partition_file_exit_3(self, gauss_csv, tmp_path, capsys, text):
+        path = tmp_path / "part.json"
+        if text is not None:
+            path.write_text(text)
+        code, _ = _run_test_cmd(gauss_csv, tmp_path, "--partition-file", str(path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "part.json" in err
+        _assert_one_line(err)
+
+    def test_partition_file_not_covering_data_exit_3(self, gauss_csv, tmp_path, capsys):
+        # the covariates are uniform on (-1, 1); this single cell holds few of them
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"cells": [{"lower": [0, 0], "upper": [1, 1]}]}))
+        for estimator in ("raw", "grouped"):
+            code, _ = _run_test_cmd(
+                gauss_csv, tmp_path, "--partition-file", str(path), "--estimator", estimator
+            )
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "small.json" in err and "lies in no cell" in err
+            _assert_one_line(err)
+
+    @pytest.mark.parametrize("command", ["test", "simulate", "partition"])
+    def test_out_in_missing_directory_exit_2(self, gauss_csv, tmp_path, capsys, command):
+        out = str(tmp_path / "missing" / "out.json")
+        cfg = TestSimulateCommand()._config(tmp_path)
+        argv = {
+            "test": ["test", "--data", gauss_csv, "--y", "y", "--x", "x1,x2",
+                     "--model", "gaussian_linear", "--stats", "pearson"],
+            "simulate": ["simulate", "--config", cfg],
+            "partition": ["partition", "--data", gauss_csv, "--x", "x1,x2"],
+        }[command]
+        assert main([*argv, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "missing" in err
+        _assert_one_line(err)

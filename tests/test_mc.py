@@ -10,6 +10,7 @@ from condgof import (
     DgpSpec,
     ExperimentInvalidError,
     InvalidArgumentError,
+    Partition,
     PartitionRule,
     RepOutcome,
     SimConfig,
@@ -88,6 +89,10 @@ class TestConfigValidation:
             _known_cfg(df_convention="fisher")
         with pytest.raises(InvalidArgumentError):
             _known_cfg(theta=None)  # known estimator needs theta
+        with pytest.raises(InvalidArgumentError, match="unknown model family"):
+            _known_cfg(model="weibull")
+        with pytest.raises(InvalidArgumentError, match="needs 4 theta values"):
+            _known_cfg(theta=(0.5, 1.0, 1.0))
 
 
 class TestSimulateDataset:
@@ -133,15 +138,14 @@ class TestSimulateDataset:
         assert d.y[outer].std() > 1.3 * d.y[inner].std()
 
     def test_param_count_checked(self):
-        dgp = DgpSpec(
-            family="gaussian_linear",
-            true_params=(0.0, 1.0),
-            covariate_law="uniform",
-            n=50,
-            k=2,
-        )
-        with pytest.raises(InvalidArgumentError):
-            simulate_dataset(dgp, np.random.Generator(np.random.Philox(5)))
+        # checked when the spec is built, before any data is drawn
+        for family, params in (
+            ("gaussian_linear", (0.0, 1.0)),
+            ("gaussian_heteroskedastic", (0.0, 1.0, 1.0, 1.0, 1.0)),
+            ("exponential_regression", (0.0, 1.0, 1.0, 1.0)),
+        ):
+            with pytest.raises(InvalidArgumentError, match="true parameters"):
+                DgpSpec(family=family, true_params=params, covariate_law="uniform", n=50, k=2)
 
 
 class TestLawGridPartition:
@@ -204,6 +208,29 @@ class TestReplicationReproducibility:
         out = run_replication(cfg, 0)
         assert out.error is not None and out.reports == {}
         assert "Error" in out.error
+
+
+class TestSharedPipeline:
+    @pytest.mark.parametrize("estimator, most", [("raw_mle", 1), ("min_chisq", 2)])
+    def test_cells_located_once_per_dataset(self, monkeypatch, estimator, most):
+        # min_chisq_estimate locates once more for its own objective
+        calls = []
+        locate0 = Partition.locate0
+
+        def counting_locate0(self, x):
+            calls.append(self)
+            return locate0(self, x)
+
+        monkeypatch.setattr(Partition, "locate0", counting_locate0)
+        cfg = _known_cfg(
+            estimator=estimator,
+            theta=None,
+            partition=PartitionRule(kind="rtp", T=2, r=2),
+            stats=("pearson", "lr", "wald"),
+        )
+        out = run_replication(cfg, 0)
+        assert out.error is None
+        assert 1 <= len(calls) <= most
 
 
 class TestAggregate:

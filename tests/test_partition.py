@@ -245,3 +245,7 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(InvalidArgumentError):
             partition_from_dict({"origin": "fixed"})
+        with pytest.raises(InvalidArgumentError):
+            partition_from_dict({"cells": [{"lower": ["abc"], "upper": [1.0]}]})
+        with pytest.raises(InvalidArgumentError):
+            partition_from_dict({"cells": [{"lower": [0.0], "upper": [1.0]}], "seed": "x"})

@@ -142,7 +142,7 @@ class TestIdentities:
         part, _ = rtp_partition(x, 2, 2, seed=11)
         table = cross_classify(rosenblatt(model, theta, data), x, grid, part)
         w0, rank0 = wald_raw_mle(
-            table, model, theta, data, grid, part, adjusted=False
+            table, model, theta, data, grid, part.locate0(x), adjusted=False
         )
         assert abs(w0 - wald_null_quadform(table)) <= 1e-10 * max(1.0, w0)
         assert rank0 == part.J * (grid.L - 1)
@@ -304,26 +304,28 @@ class TestWaldRawMle:
 
     def test_rank_is_structural(self):
         table, model, theta, data, grid, part = self._fit()
-        value, rank = wald_raw_mle(table, model, theta, data, grid, part)
+        value, rank = wald_raw_mle(table, model, theta, data, grid, part.locate0(data.x))
         assert rank == part.J * (grid.L - 1)
         assert value > 0 and math.isfinite(value)
 
     def test_invariant_to_covariate_scaling(self):
         base, model, theta, data, grid, part = self._fit(seed=42)
-        w1, _ = wald_raw_mle(base, model, theta, data, grid, part)
+        w1, _ = wald_raw_mle(base, model, theta, data, grid, part.locate0(data.x))
         tab2, model2, theta2, data2, grid2, part2 = self._fit(
             seed=42, scale=np.array([10.0, 0.1])
         )
         np.testing.assert_array_equal(base.O, tab2.O)
-        w2, _ = wald_raw_mle(tab2, model2, theta2, data2, grid2, part2)
+        w2, _ = wald_raw_mle(tab2, model2, theta2, data2, grid2, part2.locate0(data2.x))
         assert w2 == pytest.approx(w1, rel=1e-8)
 
     def test_empirical_fallback(self):
         table, _model, theta, data, grid, part = self._fit()
         value, rank = wald_raw_mle(
-            table, _NoMoments(k=2), theta, data, grid, part
+            table, _NoMoments(k=2), theta, data, grid, part.locate0(data.x)
         )
-        closed, _ = wald_raw_mle(table, GaussianLinearModel(k=2), theta, data, grid, part)
+        closed, _ = wald_raw_mle(
+            table, GaussianLinearModel(k=2), theta, data, grid, part.locate0(data.x)
+        )
         assert rank == part.J * (grid.L - 1)
         # noisier ingredients, same target
         assert value == pytest.approx(closed, rel=0.5)
@@ -341,7 +343,7 @@ class TestWaldRawMle:
             q_hat=col / O.sum(),
         )
         with pytest.raises(EmptyCellError):
-            wald_raw_mle(bad, model, theta, data, grid, part)
+            wald_raw_mle(bad, model, theta, data, grid, part.locate0(data.x))
 
     def test_collinear_design_raises(self):
         rng = np.random.Generator(np.random.Philox(9))
@@ -357,9 +359,11 @@ class TestWaldRawMle:
             rosenblatt(GaussianLinearModel(k=2), theta, data), x, grid, part
         )
         with pytest.raises(SingularInformationError):
-            wald_raw_mle(table, GaussianLinearModel(k=2), theta, data, grid, part)
+            wald_raw_mle(
+                table, GaussianLinearModel(k=2), theta, data, grid, part.locate0(data.x)
+            )
         with pytest.raises(SingularInformationError):
-            wald_raw_mle(table, _NoMoments(k=2), theta, data, grid, part)
+            wald_raw_mle(table, _NoMoments(k=2), theta, data, grid, part.locate0(data.x))
 
     def test_run_test_wald_report(self):
         table, model, theta, data, grid, part = self._fit()
@@ -369,7 +373,11 @@ class TestWaldRawMle:
             DfPolicy(p_adjust=4),
             estimator=EstimatorKind.RAW_MLE,
             wald_inputs=WaldInputs(
-                model=model, theta_hat=theta, data=data, grid=grid, partition=part
+                model=model,
+                theta_hat=theta,
+                data=data,
+                grid=grid,
+                cells=part.locate0(data.x),
             ),
         )
         assert rep.df == part.J * (grid.L - 1)
