@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -83,7 +84,7 @@ def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
                     raise DataError(
                         f"{path}: row {lineno}, column {col!r}: not numeric: {raw!r}"
                     ) from None
-                if not np.isfinite(val):
+                if not math.isfinite(val):
                     raise DataError(
                         f"{path}: row {lineno}, column {col!r}: non-finite value {raw!r}"
                     )
@@ -114,6 +115,14 @@ def _parse_stats(raw: str) -> list[str]:
         if nm not in _STAT_CHOICES:
             raise UsageError(f"unknown statistic {nm!r}; choices: {','.join(_STAT_CHOICES)}")
     return names
+
+
+def _check_int_flags(args, **minimums: int) -> None:
+    """Usage error for an integer flag below its minimum (None means unset)."""
+    for name, lo in minimums.items():
+        value = getattr(args, name)
+        if value is not None and value < lo:
+            raise UsageError(f"--{name} must be >= {lo}, got {value}")
 
 
 def _report_to_dict(rep: TestReport) -> dict:
@@ -166,6 +175,7 @@ def cmd_test(args) -> int:
     if not x_cols:
         raise UsageError("--x must name at least one column")
     stats = _parse_stats(args.stats)
+    _check_int_flags(args, L=1, T=2, r=1, seed=0)
     estimator = _ESTIMATOR_FLAGS[args.estimator]
     y, x = read_csv_columns(args.data, args.y, x_cols)
     data = Dataset(y=y, x=x)
@@ -278,6 +288,7 @@ def cmd_partition(args) -> int:
     x_cols = [c.strip() for c in args.x.split(",") if c.strip()]
     if not x_cols:
         raise UsageError("--x must name at least one column")
+    _check_int_flags(args, T=2, r=1, seed=0)
     _y, x = read_csv_columns(args.data, None, x_cols)
     seed = 0 if args.seed is None else args.seed
     if args.rule == "gessaman":

@@ -122,6 +122,8 @@ class SimConfig:
             raise InvalidArgumentError("L must be >= 1")
         if self.replications < 1:
             raise InvalidArgumentError("replications must be >= 1")
+        if self.master_seed < 0:
+            raise InvalidArgumentError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.stats:
             raise InvalidArgumentError("at least one statistic is required")
         for s in self.stats:

@@ -30,11 +30,6 @@ _LOG_2PI = 1.8378770664093453
 _SIGMA_MIN = 1e-12
 
 
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF at a scalar z (absolute error below 1e-12)."""
-    return backend.std_normal_cdf(z)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable response vector y (n,) and covariate matrix x (n, k)."""

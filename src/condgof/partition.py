@@ -483,7 +483,19 @@ def partition_to_dict(p: Partition) -> dict:
     }
 
 
+def _require_disjoint(part: Partition) -> None:
+    """Raise if two cells share interior points; shared faces are allowed."""
+    lo, up = part.bounds()
+    for a in range(part.J - 1):
+        # (lo_a, up_a] and (lo_b, up_b] meet iff max(lo) < min(up) on every axis
+        meet = (np.maximum(lo[a], lo[a + 1 :]) < np.minimum(up[a], up[a + 1 :])).all(axis=1)
+        if meet.any():
+            b = a + 1 + int(np.argmax(meet))
+            raise InvalidArgumentError(f"partition cells {a} and {b} overlap")
+
+
 def partition_from_dict(doc: dict) -> Partition:
+    """Partition from its dict form; the cells must be pairwise disjoint."""
     try:
         cells = [
             Cell(
@@ -496,7 +508,7 @@ def partition_from_dict(doc: dict) -> Partition:
         seed = doc.get("seed")
         T = doc.get("T")
         r = doc.get("r")
-        return Partition(
+        part = Partition(
             cells,
             origin=origin,
             seed=None if seed is None else int(seed),
@@ -505,6 +517,8 @@ def partition_from_dict(doc: dict) -> Partition:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed partition document: {exc}") from exc
+    _require_disjoint(part)
+    return part
 
 
 def partition_to_json(p: Partition) -> str:

@@ -6,7 +6,11 @@ response is uniform and independent of the covariates exactly when the
 conditional model is correct. On those expectations the module computes the
 classical trinity (Pearson, likelihood ratio, score/Lagrange multiplier,
 the latter coinciding with Pearson here), the Neyman version, and two Wald
-quadratic forms.
+quadratic forms. The null Wald form n d' S+ d equals Pearson by algebra and
+is returned as Pearson. The raw-MLE Wald form is Pearson plus a p x p
+correction: its covariance S_base - C I^{-1} C' is inverted on its range by
+Woodbury around the diagonal generalized inverse diag(1/p0) of S_base, so
+no LJ x LJ matrix is built.
 
 Degrees of freedom follow a policy: the conditional convention J*(L-1),
 motivated by the columns being independent multinomials given the covariate
@@ -37,6 +41,7 @@ from .models import ConditionalModel, Dataset, rosenblatt
 from .tabulate import ContingencyTable, UGrid, _bin0, require_positive_columns
 
 _RANK_RTOL = 1e-10
+_NEG_RTOL = 1e-8
 
 
 class StatKind(enum.Enum):
@@ -79,11 +84,6 @@ class DfPolicy:
         return self.base_df(L, J) - self.p_adjust
 
 
-def chisq_sf(x: float, df: int) -> float:
-    """Chi-square upper tail probability; see backend.chisq_sf."""
-    return backend.chisq_sf(x, df)
-
-
 def _expected(table: ContingencyTable) -> np.ndarray:
     require_positive_columns(table)
     return np.outer(table.widths, table.column_counts.astype(np.float64))
@@ -124,74 +124,85 @@ def neyman_stat(table: ContingencyTable) -> float:
     return float((diff * diff / O).sum())
 
 
-def _pinv_psd(M: np.ndarray, neg_tol: float = 1e-8):
-    """Spectral pseudoinverse of a symmetric PSD matrix.
+def _score_moments(table, model, theta, data, grid, cells):
+    """(C, info): per-cell score means (LJ x p, row-major) and the information.
 
-    Eigenvalues above rtol * max are inverted, the rest dropped. Returns
-    (pinv, rank). Eigenvalues below -neg_tol raise, since the matrix is
-    then not a covariance.
+    Closed forms replace the raw moment estimates when the model supplies
+    both. Each column of C is made to sum to zero over the response bins.
     """
-    M = 0.5 * (M + M.T)
-    w, V = np.linalg.eigh(M)
-    wmax = float(w.max(initial=0.0))
-    if wmax <= 0.0:
-        return np.zeros_like(M), 0
-    if float(w.min()) < -neg_tol:
-        raise CovarianceConstructionError(
-            f"covariance has eigenvalue {float(w.min()):.3e} below -{neg_tol:g}"
+    L, J, p = table.L, table.J, model.param_dim
+    n = data.n
+    info = model.expected_information(data.x, theta)
+    ebs = model.bin_score_means(data.x, grid.thresholds, theta)
+    if info is not None and ebs is not None:
+        if not (np.isfinite(info).all() and np.isfinite(ebs).all()):
+            raise SingularInformationError(
+                "model moment evaluation produced non-finite values"
+            )
+        percell = np.zeros((J, L, p))
+        np.add.at(percell, cells, ebs)
+        C = percell.transpose(1, 0, 2).reshape(L * J, p) / n
+    else:
+        scores = model.score(data.y, data.x, theta)
+        if not np.isfinite(scores).all():
+            raise SingularInformationError("score evaluation produced non-finite values")
+        info = scores.T @ scores / n
+        v = rosenblatt(model, theta, data)
+        cell = _bin0(grid, v) * J + cells
+        C = np.zeros((L * J, p))
+        np.add.at(C, cell, scores)
+        C /= n
+    # The population version of C has zero column sums (scores have
+    # conditional mean zero given the covariates), but the sample version
+    # does not, and that residue lands outside the support of S_base.
+    # Reallocate each column's score sum across response bins by the null
+    # weights so C shares the exact zero-sum structure of d. For the
+    # closed-form C the sums already telescope to zero and this is a no-op.
+    C3 = C.reshape(L, J, p)
+    C3 -= table.widths[:, None, None] * C3.sum(axis=0)[None, :, :]
+    return C, 0.5 * (info + info.T)
+
+
+def _wald_form(table: ContingencyTable, C: np.ndarray, info: np.ndarray):
+    """(n d' Sigma+ d, rank Sigma) for Sigma = S_base - C info^{-1} C'.
+
+    d = vec(O/n) - p0 with p0_{lj} = w_l * qhat_j, both row-major like C.
+    G = diag(1/p0) is a generalized inverse of S_base, and d and the columns
+    of C lie in its range, so by Woodbury the form is Pearson plus n b' M+ b
+    with A = G C, M = info - C' A and b = A' d. Directions V0 with
+    eigenvalue of M at most _RANK_RTOL * max eig(info) are null directions
+    (column-centred A V0) of Sigma; d first loses its Euclidean component
+    along them, which keeps the Moore-Penrose value. Sigma is PSD exactly
+    when M is, so an eigenvalue of M below -_NEG_RTOL * max eig(info)
+    raises CovarianceConstructionError.
+    """
+    w_info = np.linalg.eigvalsh(info)
+    imax = float(w_info[-1])
+    if imax <= 0.0 or w_info[0] <= _RANK_RTOL * imax:
+        raise SingularInformationError(
+            "estimated information matrix is numerically singular"
         )
-    keep = w > _RANK_RTOL * wmax
-    rank = int(keep.sum())
-    inv = np.zeros_like(w)
-    inv[keep] = 1.0 / w[keep]
-    return (V * inv) @ V.T, rank
-
-
-def _discrepancy(table: ContingencyTable) -> tuple[np.ndarray, np.ndarray]:
-    """(d, p0) with d = vec(O/n) - p0 and p0_{lj} = w_l * qhat_j (row-major)."""
     p0 = np.outer(table.widths, table.q_hat).ravel()
     d = table.O.ravel() / table.n - p0
-    return d, p0
-
-
-def wald_null_quadform(table: ContingencyTable) -> float:
-    """n * d' S+ d with S = diag(p0) - p0 p0'; equals Pearson algebraically."""
-    value, _rank, _warn = _wald_null_detail(table)
-    return value
-
-
-def _wald_null_detail(table: ContingencyTable):
-    require_positive_columns(table)
-    d, p0 = _discrepancy(table)
-    S = np.diag(p0) - np.outer(p0, p0)
-    pinv, rank = _pinv_psd(S)
-    warn = []
-    structural = table.L * table.J - 1
-    if rank < structural:
-        warn.append(
-            f"null covariance rank {rank} below the structural {structural}"
+    A = C / p0[:, None]
+    M = info - C.T @ A
+    mu, V = np.linalg.eigh(0.5 * (M + M.T))
+    if mu[0] < -_NEG_RTOL * imax:
+        raise CovarianceConstructionError(
+            f"covariance correction has eigenvalue {mu[0]:.3e} below "
+            f"-{_NEG_RTOL:g} * {imax:.3e}"
         )
-    value = float(table.n * d @ pinv @ d)
-    return value, rank, warn
-
-
-def _margin_conditional_base(table: ContingencyTable) -> np.ndarray:
-    """Covariance of sqrt(n) d given the column margins, block per column.
-
-    Block j is qhat_j * (diag(w) - w w'). Using this rather than the plain
-    multinomial diag(p0) - p0 p0' matters only for the rank readout: the
-    discrepancy d satisfies one exact linear constraint per column because
-    the column margins are estimated, and for equal-width grids the two
-    matrices induce the same quadratic form on that constraint subspace.
-    """
-    L, J = table.L, table.J
-    w = table.widths
-    block = np.diag(w) - np.outer(w, w)
-    S = np.zeros((L * J, L * J))
-    for j in range(J):
-        idx = np.arange(L) * J + j
-        S[np.ix_(idx, idx)] = table.q_hat[j] * block
-    return S
+    keep = mu > _RANK_RTOL * imax
+    rank = table.J * (table.L - 1) - int((~keep).sum())
+    if keep.all():
+        base = pearson_stat(table)
+    else:
+        N = (A @ V[:, ~keep]).reshape(table.L, table.J, -1)
+        N = (N - N.mean(axis=0)).reshape(table.L * table.J, -1)
+        d = d - N @ np.linalg.lstsq(N, d, rcond=None)[0]
+        base = table.n * float(d @ (d / p0))
+    c = V[:, keep].T @ (A.T @ d)
+    return base + table.n * float(c @ (c / mu[keep])), rank
 
 
 def wald_raw_mle(
@@ -201,18 +212,19 @@ def wald_raw_mle(
     data: Dataset,
     grid: UGrid,
     cells: np.ndarray,
-    adjusted: bool = True,
 ) -> tuple[float, int]:
     """Wald statistic at the raw-data MLE with its score-adjusted covariance.
 
     The covariance of the cell discrepancies shrinks when cells move with
-    the estimated parameter: Sigma = S_base - C I^{-1} C', where C holds
-    per-cell score means and I the estimated information; cells holds the
-    0-based covariate cell of each row of data. Returns the statistic and
-    the numerical rank of Sigma, which is the degrees of freedom of its
-    limiting chi-square law and does not grow back with the number of
-    estimated parameters. adjusted=False drops the correction (the
-    known-parameter case) and reduces to the null quadratic form.
+    the estimated parameter: Sigma = S_base - C I^{-1} C', where S_base is
+    block-diagonal by covariate cell with blocks qhat_j (diag(w) - w w'), C
+    holds per-cell score means and I the estimated information; cells holds
+    the 0-based covariate cell of each row of data. The statistic is
+    n d' Sigma+ d, computed as Pearson plus a p x p correction (_wald_form).
+    Returns the statistic and the rank of Sigma, J(L-1) less the number of
+    numerically zero eigenvalues of M = I - C' diag(1/p0) C; that rank is
+    the degrees of freedom of the limiting chi-square law and does not grow
+    back with the number of estimated parameters.
 
     When the model supplies closed forms for both ingredients (expected
     information and per-bin conditional score means), those replace the raw
@@ -223,55 +235,8 @@ def wald_raw_mle(
     """
     require_positive_columns(table)
     theta = model.validate_theta(theta_hat)
-    d, _p0 = _discrepancy(table)
-    S = _margin_conditional_base(table)
-    L, J = table.L, table.J
-
-    if adjusted:
-        n = data.n
-        info = model.expected_information(data.x, theta)
-        ebs = model.bin_score_means(data.x, grid.thresholds, theta)
-        if info is not None and ebs is not None:
-            if not (np.isfinite(info).all() and np.isfinite(ebs).all()):
-                raise SingularInformationError(
-                    "model moment evaluation produced non-finite values"
-                )
-            percell = np.zeros((J, L, model.param_dim))
-            np.add.at(percell, cells, ebs)
-            C = percell.transpose(1, 0, 2).reshape(L * J, model.param_dim) / n
-        else:
-            scores = model.score(data.y, data.x, theta)
-            if not np.isfinite(scores).all():
-                raise SingularInformationError(
-                    "score evaluation produced non-finite values"
-                )
-            info = scores.T @ scores / n
-            v = rosenblatt(model, theta, data)
-            l0 = _bin0(grid, v)
-            cell = l0 * J + cells
-            C = np.zeros((L * J, model.param_dim))
-            np.add.at(C, cell, scores)
-            C /= n
-        info = 0.5 * (info + info.T)
-        w_info = np.linalg.eigvalsh(info)
-        if w_info.max() <= 0.0 or w_info.min() <= _RANK_RTOL * w_info.max():
-            raise SingularInformationError(
-                "estimated information matrix is numerically singular"
-            )
-        # The population version of C has zero column sums (scores have
-        # conditional mean zero given the covariates), but the sample version
-        # does not, and that residue lands outside the support of S where it
-        # produces spurious negative eigenvalues of order 1/n. Reallocate each
-        # column's score sum across response bins by the null weights so the
-        # correction shares the exact zero-sum structure of d and S. For the
-        # closed-form C the sums already telescope to zero and this is a no-op.
-        C3 = C.reshape(L, J, model.param_dim)
-        C3 -= table.widths[:, None, None] * C3.sum(axis=0)[None, :, :]
-        S = S - C @ np.linalg.solve(info, C.T)
-
-    pinv, rank = _pinv_psd(S)
-    value = float(table.n * d @ pinv @ d)
-    return value, rank
+    C, info = _score_moments(table, model, theta, data, grid, cells)
+    return _wald_form(table, C, info)
 
 
 @dataclass
@@ -323,7 +288,7 @@ def _point_report(kind, value, estimator, df, warnings) -> TestReport:
         value=value,
         estimator=estimator,
         df=df,
-        p_value=chisq_sf(value, df),
+        p_value=backend.chisq_sf(value, df),
         warnings=warnings,
     )
 
@@ -376,8 +341,7 @@ def run_test(
     elif kind is StatKind.NEYMAN:
         value = neyman_stat(table)
     elif kind is StatKind.WALD_NULL:
-        value, rank, wwarn = _wald_null_detail(table)
-        warnings.extend(wwarn)
+        value = pearson_stat(table)  # n d' S+ d reduces to Pearson exactly
     else:  # pragma: no cover - enum is exhaustive
         raise InvalidArgumentError(f"unhandled statistic kind {kind}")
 
@@ -392,8 +356,8 @@ def run_test(
                 f"lower df endpoint must be >= 1, got {df_lo} (base {base}, "
                 f"p_adjust {df_policy.p_adjust})"
             )
-        p_lo = chisq_sf(value, df_lo)
-        p_hi = chisq_sf(value, df_hi)
+        p_lo = backend.chisq_sf(value, df_lo)
+        p_hi = backend.chisq_sf(value, df_hi)
         return TestReport(
             kind=kind,
             value=value,

@@ -35,9 +35,10 @@ from condgof import (
     run_experiment,
     run_replication,
     simulate_dataset,
-    wald_null_quadform,
 )
 from condgof.cli import main
+
+from wald_oracle import null_form
 
 TRUE = (0.5, 1.0, -0.7, 1.0)
 NULL_DGP = DgpSpec(
@@ -82,7 +83,7 @@ def raw_mle_outcomes():
 
 
 def test_01_pearson_equals_lm_and_null_wald():
-    """Pearson == LM exactly and == null-covariance Wald form numerically."""
+    """Pearson == LM exactly and == the dense null-covariance Wald form numerically."""
     rng = np.random.Generator(np.random.Philox(99))
     worst_lm = worst_wald = 0.0
     for _ in range(1000):
@@ -96,7 +97,7 @@ def test_01_pearson_equals_lm_and_null_wald():
         )
         x2 = pearson_stat(t)
         worst_lm = max(worst_lm, abs(x2 - lm_stat(t)))
-        worst_wald = max(worst_wald, abs(x2 - wald_null_quadform(t)))
+        worst_wald = max(worst_wald, abs(x2 - null_form(t)[0]))
     print(f"[01] |pearson-lm| max {worst_lm:.2e}, |pearson-wald| max {worst_wald:.2e}")
     assert worst_lm <= 1e-12
     assert worst_wald <= 1e-8

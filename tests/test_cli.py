@@ -326,6 +326,7 @@ class TestSimulateCommand:
             ("theta", [0.5, 1.0, 1.0], "needs 4 theta values"),
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0],
                      "covariate_law": "uniform", "n": 200, "k": 2}, "true parameters"),
+            ("master_seed", -1, "master_seed must be >= 0"),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(
@@ -439,23 +440,25 @@ class TestExitCodes:
 
     def test_bad_cell_names_row_and_column_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("y,x1\n1.0,0.5\noops,0.2\n")
-        code = main(
-            [
-                "test",
-                "--data",
-                str(path),
-                "--y",
-                "y",
-                "--x",
-                "x1",
-                "--model",
-                "gaussian_linear",
-            ]
-        )
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "row 3" in err and "'y'" in err and "oops" in err
+        for cell in ("oops", "nan", "inf", "-Infinity"):
+            path.write_text(f"y,x1\n1.0,0.5\n{cell},0.2\n")
+            code = main(
+                [
+                    "test",
+                    "--data",
+                    str(path),
+                    "--y",
+                    "y",
+                    "--x",
+                    "x1",
+                    "--model",
+                    "gaussian_linear",
+                ]
+            )
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "row 3" in err and "'y'" in err and cell in err
+            _assert_one_line(err)
 
     def test_ragged_row_exit_3(self, tmp_path, capsys):
         path = tmp_path / "ragged.csv"
@@ -510,7 +513,15 @@ class TestExitCodes:
         assert "computation error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text", [None, "{not json", '{"cells": [{"lower": ["abc", 0], "upper": [1, 1]}]}']
+        "text",
+        [
+            None,
+            "{not json",
+            '{"cells": [{"lower": ["abc", 0], "upper": [1, 1]}]}',
+            # x1 in (0, 0.5] lies in both cells
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": [0.5, "inf"]},'
+            ' {"lower": [0, "-inf"], "upper": ["inf", "inf"]}]}',
+        ],
     )
     def test_unreadable_partition_file_exit_3(self, gauss_csv, tmp_path, capsys, text):
         path = tmp_path / "part.json"
@@ -534,6 +545,29 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "small.json" in err and "lies in no cell" in err
             _assert_one_line(err)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("test", "--L", "0"),
+            ("test", "--T", "1"),
+            ("test", "--r", "0"),
+            ("test", "--seed", "-1"),
+            ("partition", "--T", "1"),
+            ("partition", "--r", "0"),
+            ("partition", "--seed", "-1"),
+        ],
+    )
+    def test_bad_numeric_flag_exit_2(self, gauss_csv, capsys, command, flag, value):
+        argv = {
+            "test": ["test", "--data", gauss_csv, "--y", "y", "--x", "x1,x2",
+                     "--model", "gaussian_linear"],
+            "partition": ["partition", "--data", gauss_csv, "--x", "x1,x2", "--rule", "rtp"],
+        }[command]
+        assert main([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be >=" in err
+        _assert_one_line(err)
 
     @pytest.mark.parametrize("command", ["test", "simulate", "partition"])
     def test_out_in_missing_directory_exit_2(self, gauss_csv, tmp_path, capsys, command):

@@ -93,6 +93,8 @@ class TestConfigValidation:
             _known_cfg(model="weibull")
         with pytest.raises(InvalidArgumentError, match="needs 4 theta values"):
             _known_cfg(theta=(0.5, 1.0, 1.0))
+        with pytest.raises(InvalidArgumentError, match="master_seed"):
+            _known_cfg(master_seed=-1)
 
 
 class TestSimulateDataset:

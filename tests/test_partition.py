@@ -249,3 +249,17 @@ class TestSerialization:
             partition_from_dict({"cells": [{"lower": ["abc"], "upper": [1.0]}]})
         with pytest.raises(InvalidArgumentError):
             partition_from_dict({"cells": [{"lower": [0.0], "upper": [1.0]}], "seed": "x"})
+        # overlapping boxes: in 1-d, and a 2-d box across the face two others share
+        with pytest.raises(InvalidArgumentError, match="cells 0 and 1 overlap"):
+            partition_from_dict(
+                {"cells": [{"lower": ["-inf"], "upper": [0.5]}, {"lower": [0.0], "upper": ["inf"]}]}
+            )
+        boxes = [
+            {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            {"lower": [1.0, 0.0], "upper": [2.0, 1.0]},
+            {"lower": [0.5, 0.5], "upper": [1.5, 2.0]},
+        ]
+        with pytest.raises(InvalidArgumentError, match="cells 0 and 2 overlap"):
+            partition_from_dict({"cells": boxes})
+        # shared faces are legal: a cell is lower < x <= upper
+        assert partition_from_dict({"cells": boxes[:2]}).J == 2

@@ -28,16 +28,20 @@ from condgof import (
     has_zero_cells,
     lm_stat,
     lr_stat,
+    OptimizerConfig,
     mle_gaussian_linear,
+    mle_numeric,
     neyman_stat,
     pearson_stat,
     rosenblatt,
     rtp_partition,
     run_test,
-    wald_null_quadform,
 )
 from condgof import TestReport as Report
-from condgof.stats import wald_raw_mle
+from condgof.models import ExponentialRegressionModel
+from condgof.stats import _wald_form, wald_raw_mle
+
+import wald_oracle
 
 
 def _table(O, widths=None):
@@ -96,7 +100,8 @@ class TestPointStatistics:
 
     def test_empty_column_rejected(self):
         t = _table([[3, 0], [2, 0]])
-        for f in (pearson_stat, lr_stat, wald_null_quadform):
+        wald_null = lambda t: run_test(StatKind.WALD_NULL, t, DfPolicy())  # noqa: E731
+        for f in (pearson_stat, lr_stat, wald_null):
             with pytest.raises(EmptyCellError):
                 f(t)
 
@@ -113,7 +118,10 @@ class TestIdentities:
         for _ in range(200):
             t = _random_table(rng, int(rng.integers(2, 6)), int(rng.integers(2, 7)))
             x2 = pearson_stat(t)
-            assert abs(x2 - wald_null_quadform(t)) <= 1e-8 * max(1.0, x2)
+            value, rank = wald_oracle.null_form(t)
+            assert abs(x2 - value) <= 1e-8 * max(1.0, x2)
+            assert rank == t.L * t.J - 1
+            assert run_test(StatKind.WALD_NULL, t, DfPolicy()).value == x2
 
     def test_lr_second_order_match(self):
         # with all cells close to expected the two statistics agree to O(dev)
@@ -131,21 +139,21 @@ class TestIdentities:
         assert checked > 100
 
     def test_unadjusted_wald_matches_null_form(self):
+        # without the score correction (C = 0) the raw-MLE form is Pearson
         rng = np.random.Generator(np.random.Philox(404))
-        n = 500
-        x = rng.uniform(-1, 1, (n, 2))
-        y = 0.3 + x @ [1.0, -0.5] + rng.standard_normal(n)
-        data = Dataset(y=y, x=x)
-        model = GaussianLinearModel(k=2)
-        theta = mle_gaussian_linear(data)
-        grid = balanced_grid(4)
-        part, _ = rtp_partition(x, 2, 2, seed=11)
-        table = cross_classify(rosenblatt(model, theta, data), x, grid, part)
-        w0, rank0 = wald_raw_mle(
-            table, model, theta, data, grid, part.locate0(x), adjusted=False
-        )
-        assert abs(w0 - wald_null_quadform(table)) <= 1e-10 * max(1.0, w0)
-        assert rank0 == part.J * (grid.L - 1)
+        for _ in range(50):
+            t = _random_table(rng, int(rng.integers(2, 6)), int(rng.integers(1, 7)))
+            p = int(rng.integers(1, 5))
+            B = rng.normal(size=(p, p))
+            info = B @ B.T + np.eye(p)
+            C = np.zeros((t.L * t.J, p))
+            value, rank = _wald_form(t, C, info)
+            null_value, _ = wald_oracle.null_form(t)
+            assert abs(value - null_value) <= 1e-10 * max(1.0, value)
+            assert rank == t.J * (t.L - 1)
+            dense_value, dense_rank = wald_oracle.dense_form(t, C, info)
+            assert abs(value - dense_value) <= 1e-10 * max(1.0, value)
+            assert rank == dense_rank
 
 
 class TestChisqSfReexport:
@@ -382,3 +390,118 @@ class TestWaldRawMle:
         )
         assert rep.df == part.J * (grid.L - 1)
         assert rep.p_value == pytest.approx(chisq_sf(rep.value, rep.df), abs=1e-15)
+
+
+class _NoMomentsExp(ExponentialRegressionModel):
+    """Exponential family with the closed-form moment hooks disabled."""
+
+    def expected_information(self, x, theta):
+        return None
+
+    def bin_score_means(self, x, thresholds, theta):
+        return None
+
+
+def _constructed(rng, p, rank_b):
+    """Table and (C, info = C' G C + B B') with B of rank rank_b, G = diag(1/p0)."""
+    L, J = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+    t = _random_table(rng, L, J, lo=5, hi=60)
+    C = rng.normal(size=(L, J, p)) * rng.choice([0.05, 1.0])
+    C -= C.mean(axis=0)
+    C = C.reshape(L * J, p)
+    p0 = np.outer(t.widths, t.q_hat).ravel()
+    Q = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    B = Q[:, :rank_b] * rng.uniform(0.5, 2.0, rank_b)
+    return t, C, C.T @ (C / p0[:, None]) + B @ B.T
+
+
+class TestWaldAgainstDenseOracle:
+    """The p x p form against the dense LJ x LJ pseudoinverse it replaces."""
+
+    @staticmethod
+    def _agree(new, dense):
+        assert new[1] == dense[1]
+        assert abs(new[0] - dense[0]) <= 1e-9 * max(1.0, abs(dense[0]))
+
+    def test_seeded_data_both_families_and_moment_paths(self):
+        checked = raised = 0
+        for seed in range(24):
+            rng = np.random.Generator(np.random.Philox(600 + seed))
+            n, k = int(rng.integers(60, 600)), int(rng.integers(1, 4))
+            L = int(rng.integers(2, 7))
+            x = rng.uniform(-1, 1, (n, k))
+            if seed % 2 == 0:
+                y = 0.5 + x @ rng.normal(size=k) + rng.standard_normal(n)
+                models = (GaussianLinearModel(k=k), _NoMoments(k=k))
+                data = Dataset(y=y, x=x)
+                theta = mle_gaussian_linear(data)
+            else:
+                y = rng.exponential(np.exp(-0.2 - 0.5 * x @ rng.normal(size=k)))
+                models = (ExponentialRegressionModel(k=k), _NoMomentsExp(k=k))
+                data = Dataset(y=y, x=x)
+                theta = mle_numeric(
+                    models[0], data, np.zeros(k + 1), OptimizerConfig(tolerance=1e-6)
+                )
+            grid = balanced_grid(L)
+            part, _ = rtp_partition(x, 2, int(rng.integers(1, 3)), seed=seed)
+            cells = part.locate0(x)
+            table = cross_classify(rosenblatt(models[0], theta, data), x, grid, part)
+            for model in models:
+                args = (table, model, theta, data, grid, cells)
+                try:
+                    dense = wald_oracle.wald_raw_mle(*args)
+                except CovarianceConstructionError:
+                    with pytest.raises(CovarianceConstructionError):
+                        wald_raw_mle(*args)
+                    raised += 1
+                    continue
+                self._agree(wald_raw_mle(*args), dense)
+                checked += 1
+        assert checked >= 40 and raised >= 1
+
+    def test_constructed_inputs_including_rank_deficient(self):
+        rng = np.random.Generator(np.random.Philox(707))
+        deficient = 0
+        for _ in range(300):
+            p = int(rng.integers(1, 6))
+            rank_b = int(rng.integers(0, p + 1))
+            t, C, info = _constructed(rng, p, rank_b)
+            if np.linalg.eigvalsh(info)[0] <= 1e-6 or p - rank_b >= t.J * (t.L - 1):
+                continue
+            new = _wald_form(t, C, info)
+            assert new[1] == t.J * (t.L - 1) - (p - rank_b)
+            self._agree(new, wald_oracle.dense_form(t, C, info))
+            deficient += rank_b < p
+        assert deficient >= 50
+
+    def test_zero_covariance_reports_rank_0(self):
+        # p = J(L-1) and B = 0: C info^{-1} C' is all of S_base on its range
+        rng = np.random.Generator(np.random.Philox(808))
+        for _ in range(20):
+            t = _random_table(rng, int(rng.integers(2, 5)), int(rng.integers(1, 4)))
+            p = t.J * (t.L - 1)
+            C = rng.normal(size=(t.L, t.J, p))
+            C -= C.mean(axis=0)
+            C = C.reshape(t.L * t.J, p)
+            p0 = np.outer(t.widths, t.q_hat).ravel()
+            value, rank = _wald_form(t, C, C.T @ (C / p0[:, None]))
+            assert rank == 0 and abs(value) <= 1e-12
+
+    def test_negative_correction_raises_in_both(self):
+        # info below C' G C in one direction: Sigma is not a covariance
+        rng = np.random.Generator(np.random.Philox(909))
+        checked = 0
+        for _ in range(50):
+            p = int(rng.integers(1, 5))
+            t, C, info = _constructed(rng, p, p)
+            C *= 20.0 / np.abs(C).max()
+            cgc = C.T @ (C / np.outer(t.widths, t.q_hat).ravel()[:, None])
+            u = np.linalg.qr(rng.normal(size=(p, 1)))[0]
+            info = cgc + np.eye(p) - 1.5 * (u @ u.T)
+            if np.linalg.eigvalsh(info)[0] <= 1e-6:
+                continue
+            for form in (_wald_form, wald_oracle.dense_form):
+                with pytest.raises(CovarianceConstructionError):
+                    form(t, C, info)
+            checked += 1
+        assert checked >= 30
