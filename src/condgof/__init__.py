@@ -69,13 +69,9 @@ from .models import (
     rosenblatt,
 )
 from .partition import (
-    Cell,
     Partition,
-    RtpNode,
-    RtpTree,
     cell_counts,
     gessaman_partition,
-    locate_cell,
     marginal_grid_partition,
     partition_from_dict,
     partition_from_json,
@@ -144,12 +140,8 @@ __all__ = [
     "rosenblatt",
     "log_likelihood",
     # partition
-    "Cell",
     "Partition",
-    "RtpNode",
-    "RtpTree",
     "cell_counts",
-    "locate_cell",
     "gessaman_partition",
     "marginal_grid_partition",
     "rtp_partition",

@@ -69,6 +69,8 @@ _EQ4 = 2.33520497626869185e-3
 
 def _erfc_scalar(x: float) -> float:
     ax = abs(x)
+    if ax == math.inf:
+        return 0.0 if x > 0.0 else 2.0
     if ax <= 0.46875:
         z = x * x
         num = _EA4 * z
@@ -247,7 +249,8 @@ def _erfc_np(x):
             num = (num + p) * z
             den = (den + q) * z
         r = z * (num + _EP4) / (den + _EQ4)
-        out[m3] = _expnx2_np(y) * (_RSQRTPI - r) / y
+        # exp(-y*y) is 0.0 from y = 28 on; the clamp keeps y = inf from giving inf - inf
+        out[m3] = _expnx2_np(np.minimum(y, 40.0)) * (_RSQRTPI - r) / y
 
     neg = x < 0.0
     fix = neg & ~m1
@@ -308,6 +311,8 @@ def chisq_sf(x: float, df) -> float:
         raise InvalidArgumentError("x must not be NaN")
     if x < 0.0:
         raise InvalidArgumentError(f"x must be nonnegative, got {x}")
+    if x == math.inf:
+        return 0.0
     return _chisq_sf_scalar(x, df)
 
 

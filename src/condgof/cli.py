@@ -193,7 +193,7 @@ def cmd_test(args) -> int:
         partition = gessaman_partition(data.x, args.T)
         partition_desc = {"kind": "gessaman", "T": args.T}
     elif args.partition == "rtp":
-        partition, _tree = rtp_partition(data.x, args.T, args.r, seed)
+        partition, _axes = rtp_partition(data.x, args.T, args.r, seed)
         partition_desc = {"kind": "rtp", "T": args.T, "r": args.r, "seed": seed}
     else:
         partition = marginal_grid_partition(data.x, args.T)
@@ -294,7 +294,7 @@ def cmd_partition(args) -> int:
     if args.rule == "gessaman":
         part = gessaman_partition(x, args.T)
     elif args.rule == "rtp":
-        part, _tree = rtp_partition(x, args.T, args.r, seed)
+        part, _axes = rtp_partition(x, args.T, args.r, seed)
     else:
         part = marginal_grid_partition(x, args.T)
     counts = cell_counts(part, x)

@@ -32,12 +32,17 @@ from .errors import (
     ModelEvaluationError,
     SingularDesignError,
 )
-from .models import ConditionalModel, Dataset, GaussianLinearModel, log_likelihood, rosenblatt
+from .models import (
+    _SIGMA_MIN,
+    ConditionalModel,
+    Dataset,
+    GaussianLinearModel,
+    log_likelihood,
+    rosenblatt,
+)
 from .partition import Partition
 from .stats import pearson_stat
 from .tabulate import UGrid, tabulate_cells
-
-_SIGMA_MIN = 1e-12
 
 
 @dataclass(frozen=True)

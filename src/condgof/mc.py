@@ -212,8 +212,14 @@ def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> Partition
         return law_grid_partition(cfg.dgp.covariate_law, cfg.dgp.k, rule.T)
     if rule.kind == "gessaman":
         return gessaman_partition(x, rule.T)
-    part, _tree = rtp_partition(x, rule.T, rule.r, part_seed)
+    part, _axes = rtp_partition(x, rule.T, rule.r, part_seed)
     return part
+
+
+def _df_policy(model: ConditionalModel, estimator: str, convention: str) -> DfPolicy:
+    """The df book of an estimator: a known theta costs no degrees of freedom."""
+    p_adjust = 0 if estimator == "known" else model.param_dim
+    return DfPolicy(DfConvention(convention), p_adjust=p_adjust)
 
 
 def run_pipeline(
@@ -238,7 +244,7 @@ def run_pipeline(
     """
     cells = partition.locate0(data.x)
     if estimator == "known":
-        theta, p_adjust = np.asarray(theta), 0
+        theta = np.asarray(theta)
     else:
         if model.name == "gaussian_linear":
             theta = mle_gaussian_linear(data)
@@ -249,7 +255,6 @@ def run_pipeline(
                 np.zeros(model.param_dim),
                 OptimizerConfig(max_iterations=500, tolerance=1e-6),
             )
-        p_adjust = model.param_dim
     if estimator == "min_chisq":
         theta = min_chisq_estimate(model, data, grid, partition, theta, min_chisq_config)
 
@@ -257,7 +262,7 @@ def run_pipeline(
     table = tabulate_cells(v, cells, grid, partition.J)
 
     estimator_kind = EstimatorKind(estimator)
-    policy = DfPolicy(DfConvention(df_convention), p_adjust=p_adjust)
+    policy = _df_policy(model, estimator, df_convention)
     wald_in = WaldInputs(model=model, theta_hat=theta, data=data, grid=grid, cells=cells)
     reports = {}
     for name in stats:
@@ -445,7 +450,6 @@ def calibrate_df(cfg: SimConfig) -> dict:
     """
     res = run_experiment(cfg)
     model = resolve_model(cfg.model, cfg.dgp.k)
-    p_adjust = 0 if cfg.estimator == "known" else model.param_dim
     J = cfg.partition.cell_count(cfg.dgp.k)
     L = cfg.L
     out = {}
@@ -456,8 +460,8 @@ def calibrate_df(cfg: SimConfig) -> dict:
         out[name] = {
             "mean": summ.mean,
             "se": se,
-            "df_conditional": J * (L - 1) - p_adjust,
-            "df_unconditional": J * L - 1 - p_adjust,
+            "df_conditional": _df_policy(model, cfg.estimator, "conditional").df(L, J),
+            "df_unconditional": _df_policy(model, cfg.estimator, "unconditional").df(L, J),
             "mean_reported_df": summ.mean_df,
             "replications": n_eff,
         }

@@ -275,9 +275,7 @@ class ExponentialRegressionModel(ConditionalModel):
         edge = np.zeros_like(t)
         edge[inner] = -np.log1p(-t[inner]) * (1.0 - t[inner])
         g = edge[1:] - edge[:-1]  # (L,), multiplies each design column
-        d = _design(x)
-        n, L = x.shape[0], t.shape[0] - 1
-        return d[:, None, :] * g[None, :, None]
+        return _design(x)[:, None, :] * g[None, :, None]
 
 
 def rosenblatt(model: ConditionalModel, theta, data: Dataset) -> np.ndarray:

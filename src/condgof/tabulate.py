@@ -129,7 +129,7 @@ def tabulate_cells(v, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTabl
         raise InvalidArgumentError("transformed responses must lie in [0, 1]")
     if cells.shape[0] != v.shape[0]:
         raise InvalidArgumentError(
-            f"v has {v.shape[0]} rows but x has {cells.shape[0]}"
+            f"v has {v.shape[0]} rows but cells has {cells.shape[0]} entries"
         )
     l0 = _bin0(grid, v)
     L = grid.L

@@ -64,6 +64,12 @@ class TestNormalCdf:
         assert backend.std_normal_cdf(-40.0) == 0.0
         assert backend.std_normal_cdf(40.0) == 1.0
 
+    def test_infinite_limits(self):
+        assert backend.std_normal_cdf(-math.inf) == 0.0
+        assert backend.std_normal_cdf(math.inf) == 1.0
+        z = np.array([-math.inf, -40.0, 0.0, 40.0, math.inf])
+        assert backend.normal_cdf(z).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
+
     def test_array_matches_scalar(self):
         z = np.linspace(-8.0, 8.0, 1001)
         arr = backend.normal_cdf(z)
@@ -99,6 +105,12 @@ class TestErfc:
         scal = np.array([backend.erfc(float(v)) for v in x])
         assert np.max(np.abs(arr - scal)) < 1e-15
 
+    def test_infinite_limits(self):
+        assert backend.erfc(math.inf) == 0.0
+        assert backend.erfc(-math.inf) == 2.0
+        x = np.array([-math.inf, -30.0, 30.0, 50.0, math.inf])
+        assert backend.erfc(x).tolist() == [2.0, 2.0, 0.0, 0.0, 0.0]
+
 
 class TestChisqSf:
     def test_spot_values(self):
@@ -106,6 +118,10 @@ class TestChisqSf:
         assert backend.chisq_sf(3.8415, 1) == pytest.approx(0.0499987720712223, abs=1e-10)
         assert backend.chisq_sf(0.0, 5) == 1.0
         assert backend.chisq_sf(1e6, 2) < 1e-300
+
+    def test_infinite_x(self):
+        for df in (1, 2, 7, 10**6):
+            assert backend.chisq_sf(math.inf, df) == 0.0
 
     def test_against_quadrature_grid(self):
         xs = [0.1, 0.5, 1.0, 3.0, 7.5, 15.0, 30.0, 60.0, 100.0]

@@ -1,14 +1,14 @@
 """Partition constructors: balance bounds, determinism, and serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from condgof import (
-    Cell,
     Partition,
     cell_counts,
     gessaman_partition,
-    locate_cell,
     marginal_grid_partition,
     partition_from_dict,
     partition_from_json,
@@ -16,7 +16,8 @@ from condgof import (
     partition_to_json,
     rtp_partition,
 )
-from condgof.errors import InsufficientDataError, InvalidArgumentError
+from condgof.errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
+from condgof.mc import law_grid_partition
 
 
 def _uniform(n, k, seed):
@@ -26,13 +27,14 @@ def _uniform(n, k, seed):
 
 class TestCell:
     def test_contains_is_right_closed(self):
-        c = Cell(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
-        assert c.contains(np.array([1.0, 1.0]))
-        assert not c.contains(np.array([0.0, 0.5]))
+        part = Partition(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), "fixed")
+        assert part.locate0(np.array([[1.0, 1.0]])).tolist() == [0]
+        with pytest.raises(UncoveredPointError):
+            part.locate0(np.array([[0.0, 0.5]]))
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidArgumentError):
-            Cell(np.array([1.0]), np.array([0.0]))
+            Partition(np.array([[1.0]]), np.array([[0.0]]), "fixed")
 
 
 class TestGessaman:
@@ -73,6 +75,12 @@ class TestGessaman:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             gessaman_partition(_uniform(7, 3, 2), 2)  # needs 8
+        x = _uniform(20, 2, 2)
+        for T in (2.5, 2.0, np.float64(2.0), "2", 1):
+            with pytest.raises(InvalidArgumentError, match="T must be an integer >= 2"):
+                gessaman_partition(x, T)
+            with pytest.raises(InvalidArgumentError, match="T must be an integer >= 2"):
+                marginal_grid_partition(x, T)
 
     def test_duplicate_heavy_data(self):
         x = np.array([[0.0]] * 7 + [[1.0]] * 5)
@@ -110,9 +118,10 @@ class TestRtp:
             J = 1 + k * r * (T - 1)
             n = int(rng.integers(max(4 * J, 20), 8 * J + 40))
             x = rng.normal(0.0, 1.0, (n, k))
-            part, tree = rtp_partition(x, T, r, seed=seed)
+            part, split_axes = rtp_partition(x, T, r, seed=seed)
             assert part.J == J
-            assert len(tree.terminal_nodes()) == J
+            assert split_axes.dtype == np.int64
+            assert np.bincount(split_axes, minlength=k).tolist() == [r] * k
             counts = cell_counts(part, x)
             assert counts.sum() == n
             assert (counts > 0).all()
@@ -160,8 +169,8 @@ class TestRtp:
 
     def test_axis_budget_respected(self):
         x = _uniform(200, 2, 10)
-        _, tree = rtp_partition(x, 2, 3, seed=4)
-        assert tree.split_axis_counts().tolist() == [3, 3]
+        _, split_axes = rtp_partition(x, 2, 3, seed=4)
+        assert np.bincount(split_axes, minlength=2).tolist() == [3, 3]
 
     def test_t2_nonempty_at_n_equals_j(self):
         # n = J is the tight feasibility edge for binary splits
@@ -184,9 +193,9 @@ class TestRtp:
     def test_equal_depth_reshapes_budget(self):
         # kr = 2 with T = 2 is reshaped up to the smallest full tree, kr = 3
         x = _uniform(120, 2, 11)
-        part, tree = rtp_partition(x, 2, 1, seed=1, equal_depth=True)
+        part, split_axes = rtp_partition(x, 2, 1, seed=1, equal_depth=True)
         assert part.J == 4
-        assert int(tree.split_axis_counts().sum()) == 3
+        assert int(np.bincount(split_axes, minlength=2).sum()) == 3
 
     def test_cells_disjoint_and_covering(self):
         x = _uniform(150, 2, 12)
@@ -201,24 +210,31 @@ class TestRtp:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
             rtp_partition(_uniform(4, 2, 14), 2, 2, seed=0)  # J = 5 > n
+        x = _uniform(30, 2, 14)
+        bad = [
+            dict(T=2, r=1, seed=-1),
+            dict(T=2, r=1, seed=1.5),
+            dict(T=2, r=1, seed=None),
+            dict(T=2.5, r=1, seed=0),
+            dict(T=2, r=1.5, seed=0),
+            dict(T=2, r=0, seed=0),
+        ]
+        for args in bad:
+            with pytest.raises(InvalidArgumentError, match="must be an integer"):
+                rtp_partition(x, **args)
+        # Monte Carlo partition seeds span the whole uint64 range
+        for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int64(3)):
+            part, _ = rtp_partition(x, 2, 1, seed=seed)
+            assert part.seed == int(seed)
 
 
 class TestLocate:
-    def test_locate_cell_is_one_based(self):
-        x = _uniform(40, 2, 15)
-        part = gessaman_partition(x, 2)
-        j = locate_cell(part, x[7])
-        assert 1 <= j <= part.J
-        assert part.locate0(x[7][None, :])[0] == j - 1
-
     def test_boundary_points_belong_left(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
         part = gessaman_partition(x, 2)
-        # threshold sits at the last point of the left group
-        assert locate_cell(part, np.array([2.0])) == locate_cell(part, np.array([1.0]))
-        assert locate_cell(part, np.array([2.0000001])) == locate_cell(
-            part, np.array([4.0])
-        )
+        # threshold sits at the last point of the left group: cells are right-closed
+        j = part.locate0(np.array([1.0, 2.0, 2.0000001, 4.0]))
+        assert j[0] == j[1] != j[2] == j[3]
 
 
 class TestSerialization:
@@ -239,8 +255,8 @@ class TestSerialization:
     def test_infinite_bounds_survive(self):
         part, _ = rtp_partition(_uniform(50, 1, 18), 2, 1, seed=0)
         clone = partition_from_json(partition_to_json(part))
-        bounds = np.array([c.lower[0] for c in clone.cells])
-        assert np.isneginf(bounds).any()
+        assert np.isneginf(clone.lower[:, 0]).any()
+        assert np.isposinf(clone.upper[:, 0]).any()
 
     def test_malformed_document(self):
         with pytest.raises(InvalidArgumentError):
@@ -249,6 +265,15 @@ class TestSerialization:
             partition_from_dict({"cells": [{"lower": ["abc"], "upper": [1.0]}]})
         with pytest.raises(InvalidArgumentError):
             partition_from_dict({"cells": [{"lower": [0.0], "upper": [1.0]}], "seed": "x"})
+        for cells in (
+            [],  # no cell
+            [{"lower": [1.0], "upper": [0.0]}],  # inverted bounds
+            [{"lower": [0.0], "upper": [0.0]}],  # empty cell
+            [{"lower": [0.0], "upper": ["nan"]}],
+            [{"lower": [0.0], "upper": [1.0]}, {"lower": [1.0, 0.0], "upper": [2.0, 1.0]}],
+        ):
+            with pytest.raises(InvalidArgumentError):
+                partition_from_dict({"cells": cells})
         # overlapping boxes: in 1-d, and a 2-d box across the face two others share
         with pytest.raises(InvalidArgumentError, match="cells 0 and 1 overlap"):
             partition_from_dict(
@@ -263,3 +288,54 @@ class TestSerialization:
             partition_from_dict({"cells": boxes})
         # shared faces are legal: a cell is lower < x <= upper
         assert partition_from_dict({"cells": boxes[:2]}).J == 2
+
+
+def _pinned_cases():
+    """Seeded builds whose documents are pinned across versions."""
+    x2 = _uniform(240, 2, 21)
+    x3 = _uniform(300, 3, 22)
+    dup = np.round(_uniform(240, 2, 23), 1)  # heavy duplicates
+    yield "gessaman_T2", gessaman_partition(x3, 2)
+    yield "gessaman_T3", gessaman_partition(x2, 3)
+    yield "grid_T3", marginal_grid_partition(x3, 3)
+    yield "law_normal", law_grid_partition("normal", 2, 3)
+    yield "law_uniform", law_grid_partition("uniform", 3, 2)
+    for T in (2, 3):
+        for r in (1, 2, 3):
+            yield f"rtp_T{T}_r{r}", rtp_partition(x3, T, r, seed=31 + r)[0]
+            yield f"rtp_T{T}_r{r}_dup", rtp_partition(dup, T, r, seed=41 + r)[0]
+    yield "rtp_T2_equal_depth", rtp_partition(x3, 2, 2, seed=5, equal_depth=True)[0]
+    yield "rtp_T3_equal_depth", rtp_partition(x2, 3, 3, seed=6, equal_depth=True)[0]
+
+
+class TestPinnedDocuments:
+    # sha256 of partition_to_json for each case: a seeded build must write
+    # the same document in every version, so these change only on purpose
+    DIGESTS = {
+        "gessaman_T2": "c35259d2565853a822e973c3229f572d0c3b626ba9b5fad7760522cdc7253cf9",
+        "gessaman_T3": "f3124b25dc8a58c01d61234306b34f63df390233dea9a54f4e1dee7d9e1f5f98",
+        "grid_T3": "87bf551e012d2acae2b885c2489ae38d48aab82e5c959491eb8b920342a6fb31",
+        "law_normal": "099eef12b092a4e0a118dd92f5982837bb0eaa9cc551ae92b05ebb62a3890912",
+        "law_uniform": "e40d5de3a3c735d465fb6113517aa3ea9a1ebd6c8463a55699c5a38da3b61d6e",
+        "rtp_T2_r1": "4636e3bc9d3b50ddbc1557937c800ca957ff0747bf7cb3bea9a653b67e960c33",
+        "rtp_T2_r1_dup": "cccd46a296f329afb6bc5af19e535ef6489953cc88c1e0b0f316fc7c36e46ed6",
+        "rtp_T2_r2": "2724d5bd16b2068c2055195e2c490449466659960262d0cb26cc3614f68203d2",
+        "rtp_T2_r2_dup": "5209f0aa2781d7b7590b98d11f87dc2d9c811167ff1b603816c5cf99ffab825b",
+        "rtp_T2_r3": "379739ba3148f31042921bc75c7725546bdbced71bf82383036124083d5924b6",
+        "rtp_T2_r3_dup": "9454625c6913ecdabb226629c7184083be0dcef6ebbde0aa8398c656bc385ae3",
+        "rtp_T3_r1": "181b9a621fa888b90c6e14007e55b2811fe82057aa106d3337fb097572ef837c",
+        "rtp_T3_r1_dup": "02142dfe6b89b136eb64e59a36f9cf0c1f1e936e99975c2c3531988caeee0d98",
+        "rtp_T3_r2": "285f1a838e33484bbcda9b6dc13244476bb5739c83f91d8e0bea233d157e2957",
+        "rtp_T3_r2_dup": "56a5f362417ca3680e7ad532321a1abd32610201600f6ea2774cdcb0e8d157da",
+        "rtp_T3_r3": "5b1e69a79a7766f2163705a60eedde8591a0c9a8d46d17250d9737b7e7665b81",
+        "rtp_T3_r3_dup": "74a104497fcee15367b4353e04b32e0267c63ca3fe53b5c7727090909758eab3",
+        "rtp_T2_equal_depth": "e1e31dc48266e88976a45c1ff0a3310a24775330833e34cc5dfd2b11cc907be2",
+        "rtp_T3_equal_depth": "1ccd1cce811ac557e2a260612c48c1b09b63de7893ae7a5f111a2e76c8d89c1a",
+    }
+
+    def test_documents_unchanged(self):
+        got = {
+            name: hashlib.sha256(partition_to_json(part).encode()).hexdigest()
+            for name, part in _pinned_cases()
+        }
+        assert got == self.DIGESTS
