@@ -35,7 +35,6 @@ from .errors import (
 )
 from .estimate import (
     OptimizerConfig,
-    fisher_information_estimate,
     min_chisq_estimate,
     mle_gaussian_linear,
     mle_numeric,
@@ -98,7 +97,6 @@ from .tabulate import (
     ContingencyTable,
     UGrid,
     balanced_grid,
-    bin_v,
     cross_classify,
     require_positive_columns,
 )
@@ -152,7 +150,6 @@ __all__ = [
     # tabulate
     "UGrid",
     "balanced_grid",
-    "bin_v",
     "ContingencyTable",
     "cross_classify",
     "require_positive_columns",
@@ -175,7 +172,6 @@ __all__ = [
     "mle_gaussian_linear",
     "mle_numeric",
     "min_chisq_estimate",
-    "fisher_information_estimate",
     # mc
     "DgpSpec",
     "PartitionRule",

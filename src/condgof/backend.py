@@ -68,6 +68,8 @@ _EQ4 = 2.33520497626869185e-3
 
 
 def _erfc_scalar(x: float) -> float:
+    if math.isnan(x):
+        return math.nan
     ax = abs(x)
     if ax == math.inf:
         return 0.0 if x > 0.0 else 2.0
@@ -124,10 +126,6 @@ def _erfc_scalar(x: float) -> float:
     if x < 0.0:
         return 2.0 - res
     return res
-
-
-def _std_normal_cdf_scalar(z: float) -> float:
-    return 0.5 * _erfc_scalar(-z * _INV_SQRT2)
 
 
 def _chisq_sf_scalar(x: float, df: float) -> float:
@@ -208,7 +206,7 @@ def _expnx2_np(y):
 def _erfc_np(x):
     x = np.asarray(x, dtype=np.float64)
     ax = np.abs(x)
-    out = np.empty_like(ax)
+    out = np.full_like(ax, np.nan)  # NaN falls in none of the masks below
 
     m1 = ax <= 0.46875
     if m1.any():
@@ -260,7 +258,7 @@ def _erfc_np(x):
 
 
 def erfc(x):
-    """Complementary error function, scalar or 1-d array."""
+    """Complementary error function, scalar or 1-d array; NaN maps to NaN."""
     if np.ndim(x) == 0:
         return _erfc_scalar(float(x))
     return _erfc_np(np.ascontiguousarray(x, dtype=np.float64))
@@ -268,7 +266,7 @@ def erfc(x):
 
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF at a scalar point, absolute error below 1e-12."""
-    return _std_normal_cdf_scalar(float(z))
+    return 0.5 * _erfc_scalar(-float(z) * _INV_SQRT2)
 
 
 def normal_cdf(z):

@@ -63,7 +63,7 @@ def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
-        wanted = ([y_col] if y_col else []) + list(x_cols)
+        wanted = list(dict.fromkeys(([y_col] if y_col else []) + list(x_cols)))
         positions = {}
         for col in wanted:
             if col not in header:
@@ -115,6 +115,13 @@ def _parse_stats(raw: str) -> list[str]:
         if nm not in _STAT_CHOICES:
             raise UsageError(f"unknown statistic {nm!r}; choices: {','.join(_STAT_CHOICES)}")
     return names
+
+
+def _parse_x(raw: str) -> list[str]:
+    x_cols = [c.strip() for c in raw.split(",") if c.strip()]
+    if not x_cols or len(set(x_cols)) != len(x_cols):
+        raise UsageError(f"--x must name at least one column, each once; got {raw!r}")
+    return x_cols
 
 
 def _check_int_flags(args, **minimums: int) -> None:
@@ -171,9 +178,7 @@ def _read_partition_file(path: str) -> Partition:
 
 
 def cmd_test(args) -> int:
-    x_cols = [c.strip() for c in args.x.split(",") if c.strip()]
-    if not x_cols:
-        raise UsageError("--x must name at least one column")
+    x_cols = _parse_x(args.x)
     stats = _parse_stats(args.stats)
     _check_int_flags(args, L=1, T=2, r=1, seed=0)
     estimator = _ESTIMATOR_FLAGS[args.estimator]
@@ -285,9 +290,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    x_cols = [c.strip() for c in args.x.split(",") if c.strip()]
-    if not x_cols:
-        raise UsageError("--x must name at least one column")
+    x_cols = _parse_x(args.x)
     _check_int_flags(args, T=2, r=1, seed=0)
     _y, x = read_csv_columns(args.data, None, x_cols)
     seed = 0 if args.seed is None else args.seed

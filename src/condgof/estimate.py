@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CondgofError,
     ConvergenceFailureError,
     DegenerateFitError,
     InvalidArgumentError,
@@ -36,13 +37,12 @@ from .models import (
     _SIGMA_MIN,
     ConditionalModel,
     Dataset,
-    GaussianLinearModel,
     log_likelihood,
-    rosenblatt,
+    response_bins,
 )
 from .partition import Partition
-from .stats import pearson_stat
-from .tabulate import UGrid, tabulate_cells
+from .stats import _pearson
+from .tabulate import UGrid
 
 
 @dataclass(frozen=True)
@@ -217,23 +217,28 @@ def min_chisq_estimate(
     """Parameter value minimizing the Pearson statistic of the table.
 
     Derivative-free simplex from init plus config.restarts seeded restarts;
-    never returns a point with a larger objective than init. The covariate
-    cells are located once, before the simplex starts, so a partition that
-    does not cover the data raises InvalidArgumentError.
+    never returns a point with a larger objective than init. The cells and
+    expected counts are fixed before the simplex starts: a partition that
+    does not cover the data raises InvalidArgumentError, one with an empty
+    cell InvalidStartError. Only package errors and FloatingPointError from
+    the model score +inf; anything else propagates.
     """
     theta0 = model.validate_theta(init)
     log_idx = model.log_scale_indices()
     cells = partition.locate0(data.x)
+    edges = model.pivot_edges(grid.thresholds)
+    L, J = grid.L, partition.J
+    E = np.outer(grid.widths, np.bincount(cells, minlength=J).astype(np.float64))
+    if not E.all():
+        raise InvalidStartError("objective at init is not finite: a covariate cell is empty")
 
     def objective(phi: np.ndarray) -> float:
-        theta = _from_internal(phi, log_idx)
         try:
-            model.validate_theta(theta)
-            v = rosenblatt(model, theta, data)
-            table = tabulate_cells(v, cells, grid, partition.J)
-            return pearson_stat(table)
-        except Exception:
+            theta = model.validate_theta(_from_internal(phi, log_idx))
+            bins = response_bins(model, theta, data, edges)
+        except (CondgofError, FloatingPointError):
             return np.inf
+        return _pearson(np.bincount(bins * J + cells, minlength=L * J).reshape(L, J), E)
 
     phi0 = _to_internal(theta0, log_idx)
     f0 = objective(phi0)
@@ -252,14 +257,3 @@ def min_chisq_estimate(
             best_phi, best_f = cand_phi, cand_f
     return _from_internal(best_phi, log_idx)
 
-
-def fisher_information_estimate(
-    model: ConditionalModel, data: Dataset, theta
-) -> np.ndarray:
-    """Outer-product information estimate (1/n) sum score score', symmetrized."""
-    th = model.validate_theta(theta)
-    s = model.score(data.y, data.x, th)
-    if not np.isfinite(s).all():
-        raise ModelEvaluationError("score produced non-finite values")
-    info = s.T @ s / data.n
-    return 0.5 * (info + info.T)

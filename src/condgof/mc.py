@@ -27,7 +27,7 @@ from .errors import (
     InvalidArgumentError,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
-from .models import ConditionalModel, Dataset, resolve_model, rosenblatt
+from .models import ConditionalModel, Dataset, resolve_model, response_bins
 from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import (
     DfConvention,
@@ -49,6 +49,17 @@ DGP_FAMILIES = {
 COVARIATE_LAWS = ("uniform", "normal")
 
 
+def _whole(owner, **minimums: int) -> None:
+    """Store each named field of owner as an int; it must be an integer >= its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(owner, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
+        object.__setattr__(owner, name, int(value))
+
+
 @dataclass(frozen=True)
 class DgpSpec:
     """Data generating process for one experiment."""
@@ -68,9 +79,10 @@ class DgpSpec:
             raise InvalidArgumentError(
                 f"unknown covariate law {self.covariate_law!r}; known: {COVARIATE_LAWS}"
             )
-        if self.n < 1 or self.k < 1:
-            raise InvalidArgumentError("n and k must be >= 1")
+        _whole(self, n=1, k=1)
         object.__setattr__(self, "true_params", tuple(float(v) for v in self.true_params))
+        if not all(map(math.isfinite, self.true_params)):
+            raise InvalidArgumentError(f"true_params must be finite, got {self.true_params}")
         want = self.k + DGP_FAMILIES[self.family]
         if len(self.true_params) != want:
             raise InvalidArgumentError(
@@ -90,10 +102,7 @@ class PartitionRule:
     def __post_init__(self):
         if self.kind not in ("grid", "gessaman", "rtp"):
             raise InvalidArgumentError(f"unknown partition rule {self.kind!r}")
-        if self.T < 2:
-            raise InvalidArgumentError("T must be >= 2")
-        if self.r < 1:
-            raise InvalidArgumentError("r must be >= 1")
+        _whole(self, T=2, r=1)
 
     def cell_count(self, k: int) -> int:
         if self.kind == "rtp":
@@ -118,12 +127,7 @@ class SimConfig:
     def __post_init__(self):
         if self.estimator not in ("known", "raw_mle", "min_chisq"):
             raise InvalidArgumentError(f"unknown estimator {self.estimator!r}")
-        if self.L < 1:
-            raise InvalidArgumentError("L must be >= 1")
-        if self.replications < 1:
-            raise InvalidArgumentError("replications must be >= 1")
-        if self.master_seed < 0:
-            raise InvalidArgumentError(f"master_seed must be >= 0, got {self.master_seed}")
+        _whole(self, L=1, replications=1, master_seed=0)
         if not self.stats:
             raise InvalidArgumentError("at least one statistic is required")
         for s in self.stats:
@@ -143,6 +147,8 @@ class SimConfig:
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if self.theta is not None:
             object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+            if not all(map(math.isfinite, self.theta)):
+                raise InvalidArgumentError(f"theta must be finite, got {self.theta}")
             if len(self.theta) != param_dim:
                 raise InvalidArgumentError(
                     f"model {self.model!r} needs {param_dim} theta values, "
@@ -233,7 +239,7 @@ def run_pipeline(
     theta,
     min_chisq_config: OptimizerConfig,
 ) -> tuple[np.ndarray, ContingencyTable, dict[str, TestReport]]:
-    """Estimate, transform, tabulate and test one dataset.
+    """Estimate, bin, tabulate and test one dataset.
 
     The single implementation behind `condgof test` and run_replication.
     estimator is "known" (theta is used as given), "raw_mle" (closed-form
@@ -258,8 +264,8 @@ def run_pipeline(
     if estimator == "min_chisq":
         theta = min_chisq_estimate(model, data, grid, partition, theta, min_chisq_config)
 
-    v = rosenblatt(model, theta, data)
-    table = tabulate_cells(v, cells, grid, partition.J)
+    bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
+    table = tabulate_cells(bins, cells, grid, partition.J)
 
     estimator_kind = EstimatorKind(estimator)
     policy = _df_policy(model, estimator, df_convention)
@@ -509,8 +515,8 @@ def config_from_dict(doc: dict) -> SimConfig:
                 family=dgp_doc.get("family", ""),
                 true_params=tuple(dgp_doc.get("true_params", ())),
                 covariate_law=dgp_doc.get("covariate_law", ""),
-                n=int(dgp_doc.get("n", 0)),
-                k=int(dgp_doc.get("k", 0)),
+                n=dgp_doc.get("n", 0),
+                k=dgp_doc.get("k", 0),
             )
         except (CondgofError, TypeError, ValueError) as exc:
             problems.append(f"dgp ({exc})")
@@ -523,8 +529,8 @@ def config_from_dict(doc: dict) -> SimConfig:
         try:
             partition = PartitionRule(
                 kind=part_doc.get("kind", ""),
-                T=int(part_doc.get("T", 2)),
-                r=int(part_doc.get("r", 1)),
+                T=part_doc.get("T", 2),
+                r=part_doc.get("r", 1),
             )
         except (CondgofError, TypeError, ValueError) as exc:
             problems.append(f"partition ({exc})")
@@ -536,12 +542,12 @@ def config_from_dict(doc: dict) -> SimConfig:
                 dgp=dgp,
                 model=doc.get("model", ""),
                 estimator=doc.get("estimator", ""),
-                L=int(doc.get("L", 0)),
+                L=doc.get("L", 0),
                 partition=partition,
                 stats=tuple(doc.get("stats", ("pearson",))),
                 levels=tuple(doc.get("levels", (0.05,))),
-                replications=int(doc.get("replications", 0)),
-                master_seed=int(doc.get("master_seed", 0)),
+                replications=doc.get("replications", 0),
+                master_seed=doc.get("master_seed", 0),
                 theta=None if theta is None else tuple(theta),
                 df_convention=doc.get("df_convention", "conditional"),
             )

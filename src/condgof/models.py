@@ -1,4 +1,4 @@
-"""Conditional response models and the probability integral transform.
+"""Conditional response models, their pivots and the response bins.
 
 A model family fixes, for every parameter vector theta and covariate row x,
 a continuous conditional CDF of the response. Applying the fitted CDF to
@@ -6,7 +6,10 @@ each observed response yields v_i = F(y_i | x_i, theta); when theta is the
 truth these transformed values are uniform on [0, 1] and independent of the
 covariates, which is the fact the downstream contingency tests exploit.
 
-Families implement vectorized cdf / log_density / score over whole datasets.
+Families implement vectorized cdf / log_density / score over whole datasets
+and may add pivot / pivot_edges (a theta-free monotone map of v and the bin
+thresholds under it; response_bins is the one binning rule) and closed-form
+Wald moments, bin_score_means giving factors G (L x p) and h (n x p).
 Custom families subclass ConditionalModel; the two built-in ones cover a
 Gaussian linear regression (location-scale) and an exponential regression
 with log-linear rate.
@@ -15,7 +18,7 @@ with log-linear rate.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,12 +123,20 @@ class ConditionalModel(ABC):
         """
         return None
 
-    def bin_score_means(self, x: np.ndarray, thresholds: np.ndarray, theta) -> np.ndarray | None:
-        """E[1{F(Y|X) in bin l} * score | X = x_i] as an (n, L, p) array, or None.
+    def pivot(self, y: np.ndarray, x: np.ndarray, theta) -> np.ndarray:
+        """An increasing map of F(y | x, theta) with a theta-free law. Default: the CDF."""
+        return self.cdf(y, x, theta)
+
+    def pivot_edges(self, thresholds: np.ndarray) -> np.ndarray:
+        """The pivot law's quantiles at the bin thresholds. Default: the thresholds."""
+        return np.asarray(thresholds, dtype=np.float64)
+
+    def bin_score_means(self, x: np.ndarray, thresholds: np.ndarray, theta):
+        """E[1{F(Y|X) in bin l} * score | X = x_i] in factored form (G, h), or None.
 
         thresholds is the response-bin edge vector 0 = t_0 < ... < t_L = 1.
-        Summing over l must give 0 exactly (the conditional score mean).
-        Default: not available.
+        The mean is G[l, m] * h[i, m] with G (L, p) and h (n, p); each column
+        of G sums to 0 (the conditional score mean). Default: not available.
         """
         return None
 
@@ -168,23 +179,27 @@ class GaussianLinearModel(ConditionalModel):
             )
         return th
 
-    def _standardize(self, y, x, th):
-        mu = _design(x) @ th[: self.k + 1]
-        return (y - mu) / th[-1]
+    def pivot(self, y, x, theta) -> np.ndarray:
+        """Standardized residual (y - mu(x)) / sigma, standard normal."""
+        th = self.validate_theta(theta)
+        return (y - _design(x) @ th[: self.k + 1]) / th[-1]
+
+    def pivot_edges(self, thresholds) -> np.ndarray:
+        inner = [backend.std_normal_quantile(t) for t in np.asarray(thresholds)[1:-1]]
+        return np.array([-np.inf] + inner + [np.inf])
 
     def cdf(self, y, x, theta) -> np.ndarray:
-        th = self.validate_theta(theta)
-        return backend.normal_cdf(self._standardize(y, x, th))
+        return backend.normal_cdf(self.pivot(y, x, theta))
 
     def log_density(self, y, x, theta) -> np.ndarray:
         th = self.validate_theta(theta)
-        z = self._standardize(y, x, th)
+        z = self.pivot(y, x, th)
         return -0.5 * _LOG_2PI - np.log(th[-1]) - 0.5 * z * z
 
     def score(self, y, x, theta) -> np.ndarray:
         th = self.validate_theta(theta)
         sigma = th[-1]
-        z = self._standardize(y, x, th)
+        z = self.pivot(y, x, th)
         d = _design(x)
         s = np.empty((y.shape[0], self.param_dim))
         s[:, : self.k + 1] = d * (z / sigma)[:, None]
@@ -200,30 +215,17 @@ class GaussianLinearModel(ConditionalModel):
         info[self.k + 1, self.k + 1] = 2.0 / (sigma * sigma)
         return info
 
-    def bin_score_means(self, x, thresholds, theta) -> np.ndarray:
-        th = self.validate_theta(theta)
-        sigma = th[-1]
-        t = np.asarray(thresholds, dtype=np.float64)
-        z = np.array(
-            [-np.inf]
-            + [backend.std_normal_quantile(ti) for ti in t[1:-1]]
-            + [np.inf]
-        )
+    def bin_score_means(self, x, thresholds, theta):
+        sigma = self.validate_theta(theta)[-1]
+        z = self.pivot_edges(thresholds)
         # int_a^b z phi(z) dz = phi(a) - phi(b); int_a^b (z^2-1) phi(z) dz
         # = a phi(a) - b phi(b); both vanish at infinite edges.
-        fin = np.isfinite(z)
-        ph = np.zeros_like(z)
-        ph[fin] = np.exp(-0.5 * z[fin] ** 2) / np.sqrt(2.0 * np.pi)
-        zph = np.zeros_like(z)
-        zph[fin] = z[fin] * ph[fin]
-        g_loc = (ph[:-1] - ph[1:]) / sigma  # (L,), multiplies each design column
+        ph = np.exp(-0.5 * z**2) / np.sqrt(2.0 * np.pi)
+        zph = np.where(np.isfinite(z), z, 0.0) * ph
+        g_loc = (ph[:-1] - ph[1:]) / sigma  # multiplies each design column
         g_scale = (zph[:-1] - zph[1:]) / sigma
-        d = _design(x)
-        n, L = x.shape[0], t.shape[0] - 1
-        out = np.empty((n, L, self.param_dim))
-        out[:, :, : self.k + 1] = d[:, None, :] * g_loc[None, :, None]
-        out[:, :, self.k + 1] = g_scale[None, :]
-        return out
+        G = np.repeat(np.column_stack([g_loc, g_scale]), [self.k + 1, 1], axis=1)
+        return G, np.hstack([_design(x), np.ones((x.shape[0], 1))])
 
 
 class ExponentialRegressionModel(ConditionalModel):
@@ -241,11 +243,18 @@ class ExponentialRegressionModel(ConditionalModel):
     def validate_theta(self, theta) -> np.ndarray:
         return self._check_theta_base(theta)
 
-    def cdf(self, y, x, theta) -> np.ndarray:
+    def pivot(self, y, x, theta) -> np.ndarray:
+        """rate * y, standard exponential for y >= 0; an overflowed rate gives the limit."""
         th = self.validate_theta(theta)
-        rate = np.exp(_design(x) @ th)
-        out = -np.expm1(-rate * y)
-        return np.where(y < 0.0, 0.0, out)
+        with np.errstate(over="ignore"):
+            return np.exp(_design(x) @ th) * y
+
+    def pivot_edges(self, thresholds) -> np.ndarray:
+        t = np.asarray(thresholds, dtype=np.float64)
+        return np.concatenate([[0.0], -np.log1p(-t[1:-1]), [np.inf]])
+
+    def cdf(self, y, x, theta) -> np.ndarray:
+        return np.where(y < 0.0, 0.0, -np.expm1(-self.pivot(y, x, theta)))
 
     def log_density(self, y, x, theta) -> np.ndarray:
         th = self.validate_theta(theta)
@@ -254,9 +263,7 @@ class ExponentialRegressionModel(ConditionalModel):
         return np.where(y < 0.0, -np.inf, out)
 
     def score(self, y, x, theta) -> np.ndarray:
-        th = self.validate_theta(theta)
-        rate = np.exp(_design(x) @ th)
-        w = np.where(y < 0.0, 0.0, 1.0 - rate * y)
+        w = np.where(y < 0.0, 0.0, 1.0 - self.pivot(y, x, theta))
         return _design(x) * w[:, None]
 
     def expected_information(self, x, theta) -> np.ndarray:
@@ -265,30 +272,42 @@ class ExponentialRegressionModel(ConditionalModel):
         # E[(1 - rate*Y)^2 | X] = Var(rate*Y) = 1 for every x
         return d.T @ d / x.shape[0]
 
-    def bin_score_means(self, x, thresholds, theta) -> np.ndarray:
+    def bin_score_means(self, x, thresholds, theta):
         self.validate_theta(theta)
-        t = np.asarray(thresholds, dtype=np.float64)
-        # with U = rate*Y ~ Exp(1) and V = 1 - exp(-U), the bin V in (a, b]
-        # is U in (-log(1-a), -log(1-b)]; int (1-u) e^-u du = u e^-u, and
-        # u e^-u = -log(1-t) * (1-t) -> 0 at both t = 0 and t = 1.
-        inner = (t > 0.0) & (t < 1.0)
-        edge = np.zeros_like(t)
-        edge[inner] = -np.log1p(-t[inner]) * (1.0 - t[inner])
-        g = edge[1:] - edge[:-1]  # (L,), multiplies each design column
-        return _design(x)[:, None, :] * g[None, :, None]
+        u = self.pivot_edges(thresholds)
+        # int (1-u) e^-u du = u e^-u, which is 0 at both u = 0 and u = inf
+        ue = np.where(np.isfinite(u), u, 0.0) * np.exp(-u)
+        g = ue[1:] - ue[:-1]  # multiplies each design column
+        return np.repeat(g[:, None], self.param_dim, axis=1), _design(x)
+
+
+def _check_k(model: ConditionalModel, data: Dataset) -> None:
+    if data.k != model.k:
+        raise InvalidArgumentError(f"model expects k={model.k} covariates, data has k={data.k}")
 
 
 def rosenblatt(model: ConditionalModel, theta, data: Dataset) -> np.ndarray:
     """Transformed responses v_i = F(y_i | x_i, theta), each in [0, 1]."""
-    if data.k != model.k:
-        raise InvalidArgumentError(
-            f"model expects k={model.k} covariates, data has k={data.k}"
-        )
+    _check_k(model, data)
     v = np.asarray(model.cdf(data.y, data.x, theta), dtype=np.float64)
     if not np.isfinite(v).all():
         raise ModelEvaluationError("model cdf produced non-finite values")
     # guard against approximation round-off spilling outside [0, 1]
     return np.clip(v, 0.0, 1.0)
+
+
+def bin_pivots(u, edges: np.ndarray) -> np.ndarray:
+    """0-based bin of each pivot u: l with edges[l] < u <= edges[l + 1], end bins unbounded."""
+    u = np.asarray(u, dtype=np.float64)
+    if np.isnan(u).any():
+        raise ModelEvaluationError("model pivot produced NaN values")
+    return np.searchsorted(edges[1:-1], u, side="left")
+
+
+def response_bins(model: ConditionalModel, theta, data: Dataset, edges: np.ndarray) -> np.ndarray:
+    """0-based response bin of each row, edges being model.pivot_edges(thresholds)."""
+    _check_k(model, data)
+    return bin_pivots(model.pivot(data.y, data.x, theta), edges)
 
 
 def log_likelihood(model: ConditionalModel, theta, data: Dataset) -> float:

@@ -37,8 +37,8 @@ from .errors import (
     InvalidDfError,
     SingularInformationError,
 )
-from .models import ConditionalModel, Dataset, rosenblatt
-from .tabulate import ContingencyTable, UGrid, _bin0, require_positive_columns
+from .models import ConditionalModel, Dataset, response_bins
+from .tabulate import ContingencyTable, UGrid, require_positive_columns
 
 _RANK_RTOL = 1e-10
 _NEG_RTOL = 1e-8
@@ -89,11 +89,15 @@ def _expected(table: ContingencyTable) -> np.ndarray:
     return np.outer(table.widths, table.column_counts.astype(np.float64))
 
 
+def _pearson(O: np.ndarray, E: np.ndarray) -> float:
+    """Sum of (O - E)^2 / E; with the arguments swapped, Neyman's sum."""
+    diff = O - E
+    return float((diff * diff / E).sum())
+
+
 def pearson_stat(table: ContingencyTable) -> float:
     """Sum of (O - E)^2 / E."""
-    E = _expected(table)
-    diff = table.O - E
-    return float((diff * diff / E).sum())
+    return _pearson(table.O, _expected(table))
 
 
 def lm_stat(table: ContingencyTable) -> float:
@@ -118,40 +122,37 @@ def neyman_stat(table: ContingencyTable) -> float:
     """Sum of (O - E)^2 / O; every observed count must be positive."""
     if has_zero_cells(table):
         raise EmptyCellError("neyman statistic requires every observed count > 0")
-    E = _expected(table)
-    O = table.O.astype(np.float64)
-    diff = O - E
-    return float((diff * diff / O).sum())
+    return _pearson(_expected(table), table.O)
 
 
-def _score_moments(table, model, theta, data, grid, cells):
+def _cell_sums(index: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """(size, p) sums of the rows of values (n, p) grouped by index."""
+    return np.stack([np.bincount(index, weights=c, minlength=size) for c in values.T], axis=1)
+
+
+def _score_moments(model, theta, data, grid, cells, J):
     """(C, info): per-cell score means (LJ x p, row-major) and the information.
 
     Closed forms replace the raw moment estimates when the model supplies
     both. Each column of C is made to sum to zero over the response bins.
     """
-    L, J, p = table.L, table.J, model.param_dim
-    n = data.n
+    L, p, n = grid.L, model.param_dim, data.n
     info = model.expected_information(data.x, theta)
-    ebs = model.bin_score_means(data.x, grid.thresholds, theta)
-    if info is not None and ebs is not None:
-        if not (np.isfinite(info).all() and np.isfinite(ebs).all()):
+    factors = model.bin_score_means(data.x, grid.thresholds, theta)
+    if info is not None and factors is not None:
+        G, h = factors
+        if not (np.isfinite(info).all() and np.isfinite(G).all() and np.isfinite(h).all()):
             raise SingularInformationError(
                 "model moment evaluation produced non-finite values"
             )
-        percell = np.zeros((J, L, p))
-        np.add.at(percell, cells, ebs)
-        C = percell.transpose(1, 0, 2).reshape(L * J, p) / n
+        C = (G[:, None, :] * _cell_sums(cells, h, J)[None, :, :]).reshape(L * J, p) / n
     else:
         scores = model.score(data.y, data.x, theta)
         if not np.isfinite(scores).all():
             raise SingularInformationError("score evaluation produced non-finite values")
         info = scores.T @ scores / n
-        v = rosenblatt(model, theta, data)
-        cell = _bin0(grid, v) * J + cells
-        C = np.zeros((L * J, p))
-        np.add.at(C, cell, scores)
-        C /= n
+        bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
+        C = _cell_sums(bins * J + cells, scores, L * J) / n
     # The population version of C has zero column sums (scores have
     # conditional mean zero given the covariates), but the sample version
     # does not, and that residue lands outside the support of S_base.
@@ -159,7 +160,7 @@ def _score_moments(table, model, theta, data, grid, cells):
     # weights so C shares the exact zero-sum structure of d. For the
     # closed-form C the sums already telescope to zero and this is a no-op.
     C3 = C.reshape(L, J, p)
-    C3 -= table.widths[:, None, None] * C3.sum(axis=0)[None, :, :]
+    C3 -= grid.widths[:, None, None] * C3.sum(axis=0)[None, :, :]
     return C, 0.5 * (info + info.T)
 
 
@@ -235,7 +236,7 @@ def wald_raw_mle(
     """
     require_positive_columns(table)
     theta = model.validate_theta(theta_hat)
-    C, info = _score_moments(table, model, theta, data, grid, cells)
+    C, info = _score_moments(model, theta, data, grid, cells, table.J)
     return _wald_form(table, C, info)
 
 
@@ -330,18 +331,14 @@ def run_test(
         )
         return _point_report(kind, value, estimator, rank, warnings)
 
-    if kind is StatKind.PEARSON:
-        value = pearson_stat(table)
-    elif kind is StatKind.LM:
-        value = lm_stat(table)
+    if kind in (StatKind.PEARSON, StatKind.LM, StatKind.WALD_NULL):
+        value = pearson_stat(table)  # LM and the null Wald n d' S+ d equal it exactly
     elif kind is StatKind.LR:
         value = lr_stat(table)
         if has_zero_cells(table):
             warnings.append("zero observed cells contribute 0 to the likelihood ratio")
     elif kind is StatKind.NEYMAN:
         value = neyman_stat(table)
-    elif kind is StatKind.WALD_NULL:
-        value = pearson_stat(table)  # n d' S+ d reduces to Pearson exactly
     else:  # pragma: no cover - enum is exhaustive
         raise InvalidArgumentError(f"unhandled statistic kind {kind}")
 

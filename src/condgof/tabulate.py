@@ -1,9 +1,9 @@
-"""Binning of transformed responses and the L x J contingency table.
+"""The response-bin grid and the L x J contingency table.
 
 The unit interval is cut into L bins by a grid of thresholds; bin ell is
 the half-open interval (t_{ell-1}, t_ell], with v = 0 assigned to bin 1.
-Cross-classifying the bin index of each transformed response against the
-covariate-partition cell of its row gives the observed table O, whose
+Cross-classifying the bin index of each response (models.bin_pivots) against
+the covariate-partition cell of its row gives the observed table O, whose
 column sums are the partition cell counts by construction.
 """
 
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCellError, InvalidArgumentError
+from .models import bin_pivots
 from .partition import Partition
 
 
@@ -53,20 +54,6 @@ def balanced_grid(L: int) -> UGrid:
     if L < 1:
         raise InvalidArgumentError(f"L must be >= 1, got {L}")
     return UGrid(np.arange(L + 1, dtype=np.float64) / L)
-
-
-def _bin0(grid: UGrid, v: np.ndarray) -> np.ndarray:
-    """0-based bin index per value; assumes values already validated."""
-    idx = np.searchsorted(grid.thresholds, v, side="left")
-    return np.maximum(idx, 1) - 1
-
-
-def bin_v(grid: UGrid, v: float) -> int:
-    """1-based bin of a single value in [0, 1]."""
-    v = float(v)
-    if not 0.0 <= v <= 1.0:
-        raise InvalidArgumentError(f"v must lie in [0, 1], got {v}")
-    return int(_bin0(grid, np.asarray([v]))[0]) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,15 +100,8 @@ class ContingencyTable:
 
 
 def cross_classify(v, x, grid: UGrid, partition: Partition) -> ContingencyTable:
-    """Count observations per (response bin, covariate cell) pair."""
-    return tabulate_cells(v, partition.locate0(x), grid, partition.J)
-
-
-def tabulate_cells(v, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTable:
-    """cross_classify with the 0-based covariate cell of each row given.
-
-    Callers that tabulate the same covariates repeatedly locate them once.
-    """
+    """Count observations per (response bin, covariate cell) pair; v lies in [0, 1]."""
+    cells = partition.locate0(x)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise InvalidArgumentError("v must be 1-d")
@@ -129,13 +109,15 @@ def tabulate_cells(v, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTabl
         raise InvalidArgumentError("transformed responses must lie in [0, 1]")
     if cells.shape[0] != v.shape[0]:
         raise InvalidArgumentError(
-            f"v has {v.shape[0]} rows but cells has {cells.shape[0]} entries"
+            f"v has {v.shape[0]} rows but x has {cells.shape[0]}"
         )
-    l0 = _bin0(grid, v)
-    L = grid.L
-    flat = np.bincount(l0 * J + cells, minlength=L * J)
-    O = flat.reshape(L, J)
-    n = v.shape[0]
+    return tabulate_cells(bin_pivots(v, grid.thresholds), cells, grid, partition.J)
+
+
+def tabulate_cells(bins: np.ndarray, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTable:
+    """The table of rows with the given 0-based response bins and covariate cells."""
+    O = np.bincount(bins * J + cells, minlength=grid.L * J).reshape(grid.L, J)
+    n = bins.shape[0]
     col = O.sum(axis=0)
     return ContingencyTable(
         O=O,

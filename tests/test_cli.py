@@ -1,10 +1,15 @@
 """End-to-end command line checks through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condgof
 from condgof import Dataset, OptimizerConfig, balanced_grid, gessaman_partition, resolve_model
 from condgof.cli import _ESTIMATOR_FLAGS, _report_to_dict, main, read_csv_columns
 from condgof.mc import run_pipeline
@@ -327,6 +332,18 @@ class TestSimulateCommand:
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0],
                      "covariate_law": "uniform", "n": 200, "k": 2}, "true parameters"),
             ("master_seed", -1, "master_seed must be >= 0"),
+            ("master_seed", 1.7, "master_seed must be an integer"),
+            ("L", 2.5, "L must be an integer"),
+            ("replications", "12", "replications must be an integer"),
+            ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
+                     "covariate_law": "uniform", "n": 200.5, "k": 2}, "n must be an integer"),
+            ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
+                     "covariate_law": "uniform", "n": 200, "k": True}, "k must be an integer"),
+            ("dgp", {"family": "gaussian_linear", "true_params": [0, 1, "nan", 1.0],
+                     "covariate_law": "uniform", "n": 200, "k": 2}, "true_params must be finite"),
+            ("partition", {"kind": "gessaman", "T": 2.5}, "T must be an integer"),
+            ("partition", {"kind": "rtp", "T": 2, "r": 1.5}, "r must be an integer"),
+            ("theta", [0.5, 1.0, "inf", 1.0], "theta must be finite"),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(
@@ -568,6 +585,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{flag} must be >=" in err
         _assert_one_line(err)
+
+    @pytest.mark.parametrize("command", ["test", "partition"])
+    def test_repeated_x_column_exit_2(self, gauss_csv, capsys, command):
+        argv = {
+            "test": ["test", "--data", gauss_csv, "--y", "y", "--model", "gaussian_linear"],
+            "partition": ["partition", "--data", gauss_csv],
+        }[command]
+        assert main([*argv, "--x", "x1,x2,x1"]) == 2
+        err = capsys.readouterr().err
+        assert "each once" in err and "x1,x2,x1" in err
+        _assert_one_line(err)
+
+    def test_column_shared_by_y_and_x_read_once(self, gauss_csv):
+        y, x = read_csv_columns(gauss_csv, "x1", ["x1", "x2"])
+        assert y.shape == (300,) and x.shape == (300, 2)
+        np.testing.assert_array_equal(y, x[:, 0])
+
+    def test_overflowed_rate_runs_without_warnings(self, gauss_csv):
+        # exp(1e5) overflows to inf, the right limit of the rate; nothing on stderr
+        src = str(Path(condgof.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "condgof.cli", "test", "--data", gauss_csv, "--y", "y",
+             "--x", "x1,x2", "--model", "exponential_regression", "--estimator", "known",
+             "--theta=1e5,0,0"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["config"]["theta"] == [1e5, 0.0, 0.0]
 
     @pytest.mark.parametrize("command", ["test", "simulate", "partition"])
     def test_out_in_missing_directory_exit_2(self, gauss_csv, tmp_path, capsys, command):

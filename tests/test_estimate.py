@@ -16,8 +16,8 @@ from condgof import (
     SingularDesignError,
     backend,
     balanced_grid,
+    Partition,
     cross_classify,
-    fisher_information_estimate,
     gessaman_partition,
     log_likelihood,
     min_chisq_estimate,
@@ -27,6 +27,7 @@ from condgof import (
     rosenblatt,
 )
 from condgof.models import ConditionalModel
+from condgof.stats import _score_moments
 
 
 def _gaussian_data(seed, n, beta=(2.0, 3.0), sigma=1.0):
@@ -230,6 +231,32 @@ class TestMinChisq:
                     model, data, grid, part, np.array([800.0, 0.0]), OptimizerConfig()
                 )
 
+    def test_empty_covariate_cell_is_invalid_start(self):
+        data = _gaussian_data(15, 200)
+        part = Partition(
+            np.array([[-np.inf], [5.0]]), np.array([[5.0], [np.inf]]), origin="fixed"
+        )
+        with pytest.raises(InvalidStartError):
+            min_chisq_estimate(
+                GaussianLinearModel(k=1), data, balanced_grid(4), part,
+                mle_gaussian_linear(data), OptimizerConfig(restarts=0),
+            )
+
+    def test_model_programming_error_propagates(self):
+        # only the package's own errors read as an infinite objective
+        class BrokenPivot(LocationModel):
+            def pivot(self, y, x, theta):
+                raise TypeError("bug in the family")
+
+        rng = np.random.Generator(np.random.Philox(16))
+        x = rng.uniform(-1, 1, 80)
+        data = Dataset(y=rng.standard_normal(80), x=x)
+        with pytest.raises(TypeError, match="bug in the family"):
+            min_chisq_estimate(
+                BrokenPivot(k=1), data, balanced_grid(4), gessaman_partition(x, 2),
+                np.array([0.0]), OptimizerConfig(restarts=0),
+            )
+
     def test_config_validation(self):
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(max_iterations=-1)
@@ -239,11 +266,24 @@ class TestMinChisq:
             OptimizerConfig(restarts=-2)
 
 
+class _OuterProduct(GaussianLinearModel):
+    """Gaussian family without closed-form information: the empirical route."""
+
+    def expected_information(self, x, theta):
+        return None
+
+
+def empirical_information(data, theta):
+    """The information of the empirical Wald moments, all rows in one cell."""
+    model = _OuterProduct(k=data.k)
+    cells = np.zeros(data.n, dtype=np.int64)
+    return _score_moments(model, model.validate_theta(theta), data, balanced_grid(2), cells, 1)[1]
+
+
 class TestFisherInformation:
     def test_symmetric_exactly(self):
         data = _gaussian_data(13, 150)
-        model = GaussianLinearModel(k=data.k)
-        info = fisher_information_estimate(model, data, mle_gaussian_linear(data))
+        info = empirical_information(data, mle_gaussian_linear(data))
         np.testing.assert_array_equal(info, info.T)
 
     def test_standard_normal_values(self):
@@ -252,8 +292,7 @@ class TestFisherInformation:
         x = rng.uniform(-1, 1, n)
         y = rng.standard_normal(n)
         data = Dataset(y=y, x=x)
-        model = GaussianLinearModel(k=1)
-        info = fisher_information_estimate(model, data, np.array([0.0, 0.0, 1.0]))
+        info = empirical_information(data, np.array([0.0, 0.0, 1.0]))
         # intercept block 1/sigma^2 = 1, slope block E x^2 = 1/3, scale block 2
         assert info[0, 0] == pytest.approx(1.0, rel=0.05)
         assert info[1, 1] == pytest.approx(1.0 / 3.0, rel=0.05)
@@ -261,6 +300,5 @@ class TestFisherInformation:
 
     def test_single_row_rank(self):
         data = Dataset(y=[0.7], x=[[0.3]])
-        model = GaussianLinearModel(k=1)
-        info = fisher_information_estimate(model, data, np.array([0.0, 0.0, 1.0]))
+        info = empirical_information(data, np.array([0.0, 0.0, 1.0]))
         assert np.linalg.matrix_rank(info) <= 1

@@ -70,6 +70,12 @@ class TestNormalCdf:
         z = np.array([-math.inf, -40.0, 0.0, 40.0, math.inf])
         assert backend.normal_cdf(z).tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
+    def test_nan_propagates(self):
+        assert math.isnan(backend.std_normal_cdf(math.nan))
+        out = backend.normal_cdf(np.array([0.3, math.nan, 5.0, -2.0]))
+        assert math.isnan(out[1])
+        assert out[[0, 2, 3]].tolist() == backend.normal_cdf(np.array([0.3, 5.0, -2.0])).tolist()
+
     def test_array_matches_scalar(self):
         z = np.linspace(-8.0, 8.0, 1001)
         arr = backend.normal_cdf(z)
@@ -110,6 +116,15 @@ class TestErfc:
         assert backend.erfc(-math.inf) == 2.0
         x = np.array([-math.inf, -30.0, 30.0, 50.0, math.inf])
         assert backend.erfc(x).tolist() == [2.0, 2.0, 0.0, 0.0, 0.0]
+
+    def test_nan_propagates(self):
+        # NaN in each of the three regimes' neighbourhoods and alone
+        assert math.isnan(backend.erfc(math.nan))
+        assert np.isnan(backend.erfc(np.full(4, math.nan))).all()
+        x = np.array([math.nan, 0.1, math.nan, -2.0, math.nan, 6.0, math.nan])
+        out = backend.erfc(x)
+        assert np.isnan(out[::2]).all()
+        assert out[1::2].tolist() == backend.erfc(np.array([0.1, -2.0, 6.0])).tolist()
 
 
 class TestChisqSf:

@@ -95,6 +95,24 @@ class TestConfigValidation:
             _known_cfg(theta=(0.5, 1.0, 1.0))
         with pytest.raises(InvalidArgumentError, match="master_seed"):
             _known_cfg(master_seed=-1)
+        for field, value in (("master_seed", 1.7), ("L", 4.5), ("replications", "40")):
+            with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
+                _known_cfg(**{field: value})
+        with pytest.raises(InvalidArgumentError, match="theta must be finite"):
+            _known_cfg(theta=(0.5, 1.0, float("nan"), 1.0))
+        with pytest.raises(InvalidArgumentError, match="true_params must be finite"):
+            DgpSpec(family="gaussian_linear", true_params=(0, 1, "nan"),
+                    covariate_law="uniform", n=10, k=1)
+        with pytest.raises(InvalidArgumentError, match="n must be an integer"):
+            DgpSpec(family="gaussian_linear", true_params=(0, 1, 1),
+                    covariate_law="uniform", n=10.5, k=1)
+        with pytest.raises(InvalidArgumentError, match="T must be an integer"):
+            PartitionRule(kind="rtp", T=2.5)
+        # a float is not an integer, even a whole one; numpy integers are stored as int
+        with pytest.raises(InvalidArgumentError, match="L must be an integer"):
+            _known_cfg(L=4.0)
+        cfg = _known_cfg(master_seed=np.uint64(7), L=np.int64(4))
+        assert (cfg.master_seed, cfg.L) == (7, 4) and type(cfg.master_seed) is int
 
 
 class TestSimulateDataset:

@@ -7,9 +7,11 @@ import pytest
 from scipy import integrate
 
 from condgof import (
+    ConditionalModel,
     Dataset,
     ExponentialRegressionModel,
     GaussianLinearModel,
+    backend,
     balanced_grid,
     ks_uniform_distance,
     log_likelihood,
@@ -21,6 +23,7 @@ from condgof.errors import (
     InvalidParameterError,
     ModelEvaluationError,
 )
+from condgof.models import response_bins
 
 
 class TestDataset:
@@ -115,8 +118,8 @@ class TestGaussianLinear:
         theta = np.array([0.4, -0.6, 1.7])
         x = np.array([[0.3], [-0.9]])
         grid = balanced_grid(4)
-        ebs = model.bin_score_means(x, grid.thresholds, theta)
-        assert ebs.shape == (2, 4, 3)
+        G, h = model.bin_score_means(x, grid.thresholds, theta)
+        assert G.shape == (4, 3) and h.shape == (2, 3)
         sigma = theta[-1]
         from condgof.backend import std_normal_quantile
 
@@ -129,14 +132,15 @@ class TestGaussianLinear:
                 loc, _ = integrate.quad(lambda z: (z / sigma) * phi(z), a, b)
                 sca, _ = integrate.quad(lambda z: ((z * z - 1) / sigma) * phi(z), a, b)
                 for m in range(2):
-                    assert ebs[i, l, m] == pytest.approx(design[m] * loc, abs=1e-9)
-                assert ebs[i, l, 2] == pytest.approx(sca, abs=1e-9)
+                    assert G[l, m] * h[i, m] == pytest.approx(design[m] * loc, abs=1e-9)
+                assert G[l, 2] * h[i, 2] == pytest.approx(sca, abs=1e-9)
 
     def test_bin_score_means_telescope_to_zero(self):
         model = GaussianLinearModel(k=2)
         rng = np.random.Generator(np.random.Philox(1))
         x = rng.uniform(-2, 2, (25, 2))
-        ebs = model.bin_score_means(x, balanced_grid(5).thresholds, (0.1, 0.2, -0.3, 1.5))
+        G, h = model.bin_score_means(x, balanced_grid(5).thresholds, (0.1, 0.2, -0.3, 1.5))
+        ebs = G[None, :, :] * h[:, None, :]
         assert np.max(np.abs(ebs.sum(axis=1))) < 1e-15
 
 
@@ -172,15 +176,16 @@ class TestExponentialRegression:
         theta = np.array([0.3, -0.5])
         x = np.array([[0.7]])
         grid = balanced_grid(3)
-        ebs = model.bin_score_means(x, grid.thresholds, theta)
+        G, h = model.bin_score_means(x, grid.thresholds, theta)
+        assert G.shape == (3, 2) and h.shape == (1, 2)
         # with u ~ Exp(1): bin l is u in (-log(1-t_{l-1}), -log(1-t_l)]
         edges = [0.0, -math.log(1 - 1 / 3), -math.log(1 - 2 / 3), np.inf]
         for l in range(3):
             val, _ = integrate.quad(
                 lambda u: (1.0 - u) * math.exp(-u), edges[l], edges[l + 1]
             )
-            assert ebs[0, l, 0] == pytest.approx(val, abs=1e-9)
-            assert ebs[0, l, 1] == pytest.approx(0.7 * val, abs=1e-9)
+            assert G[l, 0] * h[0, 0] == pytest.approx(val, abs=1e-9)
+            assert G[l, 1] * h[0, 1] == pytest.approx(0.7 * val, abs=1e-9)
 
     def test_expected_information_matches_opg(self):
         rng = np.random.Generator(np.random.Philox(29))
@@ -203,10 +208,74 @@ class TestExponentialRegression:
         assert ks_uniform_distance(v) < 1.63 / math.sqrt(n)
 
 
+class _CdfOnly(GaussianLinearModel):
+    """The Gaussian family on the base-class pivot contract: pivot = cdf."""
+
+    pivot = ConditionalModel.pivot
+    pivot_edges = ConditionalModel.pivot_edges
+
+    def cdf(self, y, x, theta):
+        return backend.normal_cdf(GaussianLinearModel.pivot(self, y, x, theta))
+
+
+def _old_bins(grid, v):
+    """The CDF-space rule: bin of v in (t_{l-1}, t_l], v = 0 in the first bin."""
+    return np.maximum(np.searchsorted(grid.thresholds, v, side="left"), 1) - 1
+
+
+class TestResponseBins:
+    @pytest.mark.parametrize("L", [3, 4, 7, 10])
+    def test_pivot_bins_equal_cdf_bins(self, L):
+        grid = balanced_grid(L)
+        rng = np.random.Generator(np.random.Philox(100 + L))
+        for rep in range(4):
+            n, k = 20_000, int(rng.integers(1, 4))
+            x = rng.uniform(-1, 1, (n, k))
+            beta = rng.normal(0.0, 1.0, k + 1)
+            eta = beta[0] + x @ beta[1:]
+            sigma = float(rng.uniform(0.3, 3.0))
+            cases = (
+                (GaussianLinearModel(k), np.append(beta, sigma), eta + sigma * rng.standard_normal(n)),
+                (_CdfOnly(k), np.append(beta, sigma), eta + sigma * rng.standard_normal(n)),
+                (ExponentialRegressionModel(k), beta, rng.exponential(1.0, n) / np.exp(eta)),
+            )
+            for model, theta, y in cases:
+                # evaluate at a nearby parameter so the bins are uneven
+                theta = theta + rng.normal(0.0, 0.05, theta.shape)
+                data = Dataset(y=y, x=x)
+                bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
+                np.testing.assert_array_equal(bins, _old_bins(grid, rosenblatt(model, theta, data)))
+                assert bins.min() >= 0 and bins.max() <= L - 1
+
+    def test_nan_pivot_raises(self):
+        # an overflowed rate times a zero response is NaN
+        model = ExponentialRegressionModel(k=1)
+        data = Dataset(y=[0.0, 1.0], x=[[0.0], [0.0]])
+        edges = model.pivot_edges(balanced_grid(4).thresholds)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ModelEvaluationError):
+                response_bins(model, (800.0, 0.0), data, edges)
+
+    def test_overflowed_rate_is_silent_and_bins_last(self):
+        model = ExponentialRegressionModel(k=1)
+        data = Dataset(y=[0.5, 2.0], x=[[0.0], [1.0]])
+        grid = balanced_grid(4)
+        with np.errstate(all="raise"):
+            bins = response_bins(model, (1e5, 0.0), data, model.pivot_edges(grid.thresholds))
+            v = model.cdf(data.y, data.x, (1e5, 0.0))
+        np.testing.assert_array_equal(bins, [3, 3])
+        np.testing.assert_array_equal(v, [1.0, 1.0])
+
+
 class TestHelpers:
     def test_rosenblatt_k_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             rosenblatt(GaussianLinearModel(k=2), (0, 1, 1), Dataset(y=[1.0], x=[[1.0]]))
+        with pytest.raises(InvalidArgumentError):
+            response_bins(
+                GaussianLinearModel(k=2), (0, 1, 1, 1), Dataset(y=[1.0], x=[[1.0]]),
+                np.array([0.0, 1.0]),
+            )
 
     def test_log_likelihood_allows_minus_inf(self):
         model = ExponentialRegressionModel(k=1)

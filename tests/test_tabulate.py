@@ -11,12 +11,17 @@ from condgof import (
     EmptyCellError,
     UGrid,
     balanced_grid,
-    bin_v,
     cell_counts,
     cross_classify,
     gessaman_partition,
     require_positive_columns,
 )
+from condgof.models import bin_pivots
+
+
+def bin_v(grid, v):
+    """1-based bin of one value under the binning rule, thresholds as edges."""
+    return int(bin_pivots([v], grid.thresholds)[0]) + 1
 
 
 class TestUGrid:
@@ -77,10 +82,13 @@ class TestBinV:
 
     def test_domain_checked(self):
         g = balanced_grid(2)
-        with pytest.raises(InvalidArgumentError):
-            bin_v(g, -0.01)
-        with pytest.raises(InvalidArgumentError):
-            bin_v(g, 1.01)
+        x = np.array([-0.5, -0.25, 0.25, 0.5])
+        part = gessaman_partition(x, 2)
+        for bad in (-0.01, 1.01, np.nan):
+            with pytest.raises(InvalidArgumentError):
+                cross_classify(np.array([0.1, bad, 0.5, 0.9]), x, g, part)
+        with pytest.raises(InvalidArgumentError, match="v has 3 rows but x has 4"):
+            cross_classify(np.array([0.1, 0.5, 0.9]), x, g, part)
 
     def test_matches_interval_membership(self):
         g = UGrid(np.array([0.0, 0.2, 0.35, 0.9, 1.0]))

@@ -10,7 +10,6 @@ import numpy as np
 
 from condgof import CovarianceConstructionError, SingularInformationError, rosenblatt
 from condgof.stats import _RANK_RTOL
-from condgof.tabulate import _bin0
 
 
 def pinv_psd(M, neg_tol=1e-8):
@@ -72,8 +71,10 @@ def moments(table, model, theta, data, grid, cells):
     L, J = table.L, table.J
     n = data.n
     info = model.expected_information(data.x, theta)
-    ebs = model.bin_score_means(data.x, grid.thresholds, theta)
-    if info is not None and ebs is not None:
+    factors = model.bin_score_means(data.x, grid.thresholds, theta)
+    if info is not None and factors is not None:
+        G, h = factors
+        ebs = G[None, :, :] * h[:, None, :]  # (n, L, p) per-row bin score means
         if not (np.isfinite(info).all() and np.isfinite(ebs).all()):
             raise SingularInformationError("model moments are not finite")
         percell = np.zeros((J, L, model.param_dim))
@@ -84,7 +85,9 @@ def moments(table, model, theta, data, grid, cells):
         if not np.isfinite(scores).all():
             raise SingularInformationError("scores are not finite")
         info = scores.T @ scores / n
-        cell = _bin0(grid, rosenblatt(model, theta, data)) * J + cells
+        # bin of each transformed response, v = 0 in the first bin
+        bins = np.maximum(np.searchsorted(grid.thresholds, rosenblatt(model, theta, data)), 1) - 1
+        cell = bins * J + cells
         C = np.zeros((L * J, model.param_dim))
         np.add.at(C, cell, scores)
         C /= n
