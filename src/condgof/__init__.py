@@ -11,7 +11,6 @@ size and power of the whole procedure.
 from .backend import (
     chisq_sf,
     erfc,
-    locate_cells,
     normal_cdf,
     std_normal_cdf,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "std_normal_cdf",
     "normal_cdf",
     "chisq_sf",
-    "locate_cells",
     # errors
     "CondgofError",
     "InvalidArgumentError",

@@ -22,8 +22,8 @@ from . import __version__
 from .errors import (
     CondgofError,
     DataError,
-    InvalidArgumentError,
     InvalidParameterError,
+    OutOfSupportError,
     UncoveredPointError,
     UsageError,
 )
@@ -68,6 +68,8 @@ def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
         for col in wanted:
             if col not in header:
                 raise DataError(f"{path}: missing column {col!r}; header is {header}")
+            if header.count(col) > 1:
+                raise DataError(f"{path}: column {col!r} appears more than once in the header")
             positions[col] = header.index(col)
         rows = {col: [] for col in wanted}
         for lineno, row in enumerate(reader, start=2):
@@ -228,6 +230,8 @@ def cmd_test(args) -> int:
     except UncoveredPointError as exc:
         # only a partition read from a file can leave data uncovered
         raise DataError(f"{args.partition_file}: {exc}") from exc
+    except OutOfSupportError as exc:
+        raise DataError(f"{args.data}: {exc}") from exc
 
     doc = {
         "version": __version__,
@@ -268,15 +272,11 @@ def cmd_test(args) -> int:
 def cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            cfg = config_from_dict(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot open config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{args.config}: invalid JSON: {exc}") from exc
-    try:
-        cfg = config_from_dict(doc)
-    except InvalidArgumentError as exc:
-        raise UsageError(str(exc)) from exc
+    except ValueError as exc:  # invalid JSON or UTF-8, or an invalid config
+        raise UsageError(f"{args.config}: {exc}") from exc
     result = run_experiment(cfg)
     out_doc = dict(result.to_dict(), version=__version__)
     _emit(out_doc, args.out)

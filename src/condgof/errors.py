@@ -5,6 +5,8 @@ catch the package's failures with a single except clause. The CLI maps
 UsageError to exit code 2, DataError to 3, and everything else to 4.
 """
 
+import numbers
+
 
 class CondgofError(Exception):
     """Base class for all errors raised by this package."""
@@ -16,6 +18,10 @@ class InvalidArgumentError(CondgofError, ValueError):
 
 class UncoveredPointError(InvalidArgumentError):
     """A point lies in no cell of a partition."""
+
+
+class OutOfSupportError(InvalidArgumentError):
+    """A response lies outside the support of the model family."""
 
 
 class InvalidParameterError(CondgofError):
@@ -86,3 +92,10 @@ class UsageError(CondgofError):
 
 class ExperimentInvalidError(CondgofError):
     """Too many failed replications for a simulation experiment to be valid."""
+
+
+def as_integer(name: str, value, least: int) -> int:
+    """value as an int; the package's one rule for integers: not a bool or a float, >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

@@ -11,11 +11,17 @@ Aggregation is order-independent: outcomes are sorted by replication index
 before any reduction, so feeding them in any order yields the same result.
 Failed replications are recorded with a reason string, never resampled; an
 experiment with more than 5% failures raises ExperimentInvalidError.
+
+Documents are the dataclasses' own fields. A config holds fields of SimConfig
+only, its dgp and partition those of DgpSpec and PartitionRule; an absent field
+takes its default. config_to_dict and SimResult.to_dict are dataclasses.asdict.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +31,8 @@ from .errors import (
     CondgofError,
     ExperimentInvalidError,
     InvalidArgumentError,
+    OutOfSupportError,
+    as_integer,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
 from .models import ConditionalModel, Dataset, resolve_model, response_bins
@@ -50,14 +58,9 @@ COVARIATE_LAWS = ("uniform", "normal")
 
 
 def _whole(owner, **minimums: int) -> None:
-    """Store each named field of owner as an int; it must be an integer >= its minimum."""
-    for name, minimum in minimums.items():
-        value = getattr(owner, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-        if value < minimum:
-            raise InvalidArgumentError(f"{name} must be >= {minimum}, got {value}")
-        object.__setattr__(owner, name, int(value))
+    """Store each named field of owner through as_integer with its minimum."""
+    for name, least in minimums.items():
+        object.__setattr__(owner, name, as_integer(name, getattr(owner, name), least))
 
 
 @dataclass(frozen=True)
@@ -244,10 +247,17 @@ def run_pipeline(
     The single implementation behind `condgof test` and run_replication.
     estimator is "known" (theta is used as given), "raw_mle" (closed-form
     Gaussian MLE, otherwise mle_numeric from zero) or "min_chisq" (the raw
-    MLE refined by min_chisq_estimate under min_chisq_config). Covariate
-    cells are located once and shared by the table and the raw-MLE Wald.
-    Returns (theta, table, reports by statistic name).
+    MLE refined by min_chisq_estimate under min_chisq_config). Responses
+    below the model's support raise OutOfSupportError before anything is
+    estimated. Covariate cells are located once and shared by the table and
+    the raw-MLE Wald. Returns (theta, table, reports by statistic name).
     """
+    below = np.flatnonzero(data.y < model.support_lower)
+    if below.size:
+        raise OutOfSupportError(
+            f"response at row {below[0]} is {float(data.y[below[0]])}, "
+            f"outside the support y >= {model.support_lower} of {model.name}"
+        )
     cells = partition.locate0(data.x)
     if estimator == "known":
         theta = np.asarray(theta)
@@ -349,32 +359,9 @@ class SimResult:
         raise InvalidArgumentError(f"no summary for stat={stat!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "config": config_to_dict(self.config),
-            "replications": self.replications,
-            "failed": self.failed,
-            "results": [
-                {
-                    "stat": r.stat,
-                    "level": r.level,
-                    "rejections": r.rejections,
-                    "rate": r.rate,
-                    "mc_se": r.mc_se,
-                }
-                for r in self.results
-            ],
-            "summaries": [
-                {
-                    "stat": s.stat,
-                    "mean": s.mean,
-                    "variance": s.variance,
-                    "ks_uniform": s.ks_uniform,
-                    "mean_df": s.mean_df,
-                }
-                for s in self.summaries
-            ],
-            "failures": [{"rep_index": i, "reason": msg} for i, msg in self.failures],
-        }
+        """The JSON-ready document: the fields in order, each failure as an object."""
+        failures = [{"rep_index": i, "reason": msg} for i, msg in self.failures]
+        return dict(dataclasses.asdict(self), failures=failures)
 
 
 def ks_uniform_distance(values: np.ndarray) -> float:
@@ -475,86 +462,43 @@ def calibrate_df(cfg: SimConfig) -> dict:
 
 
 def config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "dgp": {
-            "family": cfg.dgp.family,
-            "true_params": list(cfg.dgp.true_params),
-            "covariate_law": cfg.dgp.covariate_law,
-            "n": cfg.dgp.n,
-            "k": cfg.dgp.k,
-        },
-        "model": cfg.model,
-        "estimator": cfg.estimator,
-        "L": cfg.L,
-        "partition": {
-            "kind": cfg.partition.kind,
-            "T": cfg.partition.T,
-            "r": cfg.partition.r,
-        },
-        "stats": list(cfg.stats),
-        "levels": list(cfg.levels),
-        "replications": cfg.replications,
-        "master_seed": cfg.master_seed,
-        "theta": None if cfg.theta is None else list(cfg.theta),
-        "df_convention": cfg.df_convention,
-    }
+    return dataclasses.asdict(cfg)
+
+
+def _from_fields(cls, doc, section: str, problems: list[str]):
+    """cls from doc, or None after noting each problem of this section and those below.
+
+    A field whose type is a dataclass is read the same way from its sub-document.
+    """
+    if not isinstance(doc, dict):
+        problems.append(f"{section} (must be a JSON object)")
+        return None
+    noted = len(problems)
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    unknown = [key for key in doc if key not in names]
+    missing = [f.name for f in fields if f.name not in doc and f.default is dataclasses.MISSING]
+    for what, names in (("unknown", unknown), ("missing required", missing)):
+        if names:
+            problems.append(f"{section} ({what} fields {', '.join(map(repr, names))})")
+    types = typing.get_type_hints(cls)
+    values = {key: value for key, value in doc.items() if key not in unknown}
+    for name, value in values.items():
+        if dataclasses.is_dataclass(types[name]):
+            values[name] = _from_fields(types[name], value, name, problems)
+    if len(problems) > noted:
+        return None
+    try:
+        return cls(**values)
+    except (CondgofError, TypeError, ValueError) as exc:
+        problems.append(f"{section} ({exc})")
+        return None
 
 
 def config_from_dict(doc: dict) -> SimConfig:
-    """Parse a simulation config document, naming every offending field."""
-    problems = []
-    if not isinstance(doc, dict):
-        raise InvalidArgumentError("config document must be a JSON object")
-    dgp_doc = doc.get("dgp")
-    if not isinstance(dgp_doc, dict):
-        problems.append("dgp")
-        dgp = None
-    else:
-        try:
-            dgp = DgpSpec(
-                family=dgp_doc.get("family", ""),
-                true_params=tuple(dgp_doc.get("true_params", ())),
-                covariate_law=dgp_doc.get("covariate_law", ""),
-                n=dgp_doc.get("n", 0),
-                k=dgp_doc.get("k", 0),
-            )
-        except (CondgofError, TypeError, ValueError) as exc:
-            problems.append(f"dgp ({exc})")
-            dgp = None
-    part_doc = doc.get("partition", {})
-    partition = None
-    if not isinstance(part_doc, dict):
-        problems.append("partition")
-    else:
-        try:
-            partition = PartitionRule(
-                kind=part_doc.get("kind", ""),
-                T=part_doc.get("T", 2),
-                r=part_doc.get("r", 1),
-            )
-        except (CondgofError, TypeError, ValueError) as exc:
-            problems.append(f"partition ({exc})")
-    cfg = None
-    if dgp is not None and partition is not None:
-        try:
-            theta = doc.get("theta")
-            cfg = SimConfig(
-                dgp=dgp,
-                model=doc.get("model", ""),
-                estimator=doc.get("estimator", ""),
-                L=doc.get("L", 0),
-                partition=partition,
-                stats=tuple(doc.get("stats", ("pearson",))),
-                levels=tuple(doc.get("levels", (0.05,))),
-                replications=doc.get("replications", 0),
-                master_seed=doc.get("master_seed", 0),
-                theta=None if theta is None else tuple(theta),
-                df_convention=doc.get("df_convention", "conditional"),
-            )
-        except (CondgofError, TypeError, ValueError) as exc:
-            problems.append(f"config ({exc})")
+    """Parse a simulation config document, naming every offending field on one line."""
+    problems: list[str] = []
+    cfg = _from_fields(SimConfig, doc, "config", problems)
     if problems:
-        raise InvalidArgumentError(
-            "invalid simulation config fields: " + "; ".join(problems)
-        )
+        raise InvalidArgumentError("invalid simulation config fields: " + "; ".join(problems))
     return cfg

@@ -79,9 +79,11 @@ class ConditionalModel(ABC):
     All methods are vectorized: y is (n,), x is (n, k), and score returns
     (n, p) where p = param_dim. validate_theta raises InvalidParameterError
     on shape or constraint violations; cdf output always lies in [0, 1].
+    Responses must satisfy y >= support_lower (default: unbounded).
     """
 
     name: str = "custom"
+    support_lower: float = -np.inf
 
     def __init__(self, k: int):
         if k < 1:
@@ -235,6 +237,7 @@ class ExponentialRegressionModel(ConditionalModel):
     """
 
     name = "exponential_regression"
+    support_lower = 0.0
 
     @property
     def param_dim(self) -> int:

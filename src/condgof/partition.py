@@ -33,32 +33,40 @@ to a threshold belongs to the left cell. Duplicate values straddling a
 nominal cut are pushed left as a block; if that exhausts the points before
 T strictly increasing thresholds exist, the split is impossible and
 InsufficientDataError is raised.
+
+A partition document holds cells (each only lower and upper), origin, seed,
+T and r, and partition_from_dict rejects any other key; seed, T and r are
+None or integers, checked like every integer argument by errors.as_integer.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import backend
-from .errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
+from .errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError, as_integer
+
+_INT_FLOORS = {"T": 2, "r": 1, "seed": 0}
+_DOCUMENT_META = ("origin", "seed", "T", "r")  # document keys besides cells
 
 
 @dataclass(frozen=True, eq=False)
 class Partition:
     """J disjoint cells {x : lower[j] < x <= upper[j]}, in a fixed order.
 
-    lower and upper are read-only float64 (J, k) arrays. The constructions
-    in this module cover R^k; a partition read from a file need not, and
-    locate0 raises UncoveredPointError for a point outside every cell.
+    lower and upper are read-only float64 (J, k) arrays; seed, T and r are
+    None or ints, checked by as_integer. The constructions in this module
+    cover R^k; a partition read from a file need not, and locate0 raises
+    UncoveredPointError for a point outside every cell.
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    origin: str  # "fixed" | "gessaman" | "rtp"
+    origin: str = "fixed"  # "fixed" | "gessaman" | "rtp"
     seed: int | None = None
     T: int | None = None
     r: int | None = None
@@ -66,18 +74,16 @@ class Partition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return (
-            np.array_equal(self.lower, other.lower)
-            and np.array_equal(self.upper, other.upper)
-            and self.origin == other.origin
-            and self.seed == other.seed
-            and self.T == other.T
-            and self.r == other.r
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
         )
 
     def __post_init__(self):
         if self.origin not in ("fixed", "gessaman", "rtp"):
             raise InvalidArgumentError(f"unknown partition origin {self.origin!r}")
+        for name, least in _INT_FLOORS.items():
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, as_integer(name, getattr(self, name), least))
         lo = np.array(self.lower, dtype=np.float64)
         up = np.array(self.upper, dtype=np.float64)
         if lo.ndim != 2 or lo.shape != up.shape:
@@ -125,9 +131,6 @@ def cell_counts(partition: Partition, x) -> np.ndarray:
     return np.bincount(partition.locate0(x), minlength=partition.J)
 
 
-_INT_FLOORS = {"T": 2, "r": 1, "seed": 0}
-
-
 def _builder_input(x, **ints) -> np.ndarray:
     """x as a finite (n, k) float array, after checking the integer arguments."""
     pts = np.asarray(x, dtype=np.float64)
@@ -135,10 +138,8 @@ def _builder_input(x, **ints) -> np.ndarray:
         pts = pts[:, None]
     if not np.isfinite(pts).all():
         raise InvalidArgumentError("covariates contain non-finite values")
-    for name, v in ints.items():
-        least = _INT_FLOORS[name]
-        if not isinstance(v, (int, np.integer)) or v < least:
-            raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {v!r}")
+    for name, value in ints.items():
+        as_integer(name, value, _INT_FLOORS[name])
     return pts
 
 
@@ -293,7 +294,7 @@ def rtp_partition(
         counts[axis] -= 1
         split_axes[s] = axis
         terminals.extend(_split_node(*terminals.pop(i), pts, axis, T))
-    part = _boxes_partition(terminals, origin="rtp", seed=int(seed), T=T, r=r)
+    part = _boxes_partition(terminals, origin="rtp", seed=seed, T=T, r=r)
     return part, split_axes
 
 
@@ -323,10 +324,7 @@ def partition_to_dict(p: Partition) -> dict:
             }
             for lo, up in zip(p.lower, p.upper)
         ],
-        "origin": p.origin,
-        "seed": None if p.seed is None else int(p.seed),
-        "T": None if p.T is None else int(p.T),
-        "r": None if p.r is None else int(p.r),
+        **{key: getattr(p, key) for key in _DOCUMENT_META},
     }
 
 
@@ -344,17 +342,18 @@ def _require_disjoint(part: Partition) -> None:
 def partition_from_dict(doc: dict) -> Partition:
     """Partition from its dict form; the cells must be pairwise disjoint."""
     try:
-        cells = doc["cells"]
-        seed = doc.get("seed")
-        T = doc.get("T")
-        r = doc.get("r")
+        if not isinstance(doc, dict):
+            raise InvalidArgumentError("the document must be a JSON object")
+        unknown = [key for key in doc if key != "cells" and key not in _DOCUMENT_META]
+        if unknown:
+            raise InvalidArgumentError(f"unknown keys {unknown}")
+        for j, cell in enumerate(doc["cells"]):
+            if not isinstance(cell, dict) or cell.keys() != {"lower", "upper"}:
+                raise InvalidArgumentError(f"cell {j} must hold exactly lower and upper")
         part = Partition(
-            np.array([[_bound_from_json(v) for v in c["lower"]] for c in cells]),
-            np.array([[_bound_from_json(v) for v in c["upper"]] for c in cells]),
-            origin=doc.get("origin", "fixed"),
-            seed=None if seed is None else int(seed),
-            T=None if T is None else int(T),
-            r=None if r is None else int(r),
+            np.array([[_bound_from_json(v) for v in c["lower"]] for c in doc["cells"]]),
+            np.array([[_bound_from_json(v) for v in c["upper"]] for c in doc["cells"]]),
+            **{key: doc[key] for key in _DOCUMENT_META if key in doc},
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"malformed partition document: {exc}") from exc

@@ -31,6 +31,18 @@ def gauss_csv(tmp_path):
     return str(path)
 
 
+def _exponential_csv(tmp_path, bad_rows=None) -> str:
+    """300 rows of y ~ Exp(1) with two uniform covariates; bad_rows overwrites y by row."""
+    rng = np.random.Generator(np.random.Philox(5))
+    y = rng.exponential(1.0, 300)
+    for row, value in (bad_rows or {}).items():
+        y[row] = value
+    path = tmp_path / "exp.csv"
+    np.savetxt(path, np.column_stack([y, rng.uniform(-1, 1, (300, 2))]), fmt="%.17g",
+               delimiter=",", header="y,x1,x2", comments="")
+    return str(path)
+
+
 def _assert_one_line(err: str) -> None:
     assert err.count("\n") == 1 and "Traceback" not in err, err
 
@@ -319,10 +331,14 @@ class TestSimulateCommand:
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
-    def test_invalid_json_exit_2(self, tmp_path):
+    def test_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        assert main(["simulate", "--config", str(path)]) == 2
+        for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+            path.write_bytes(content)
+            assert main(["simulate", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "broken.json" in err
+            _assert_one_line(err)
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -331,7 +347,7 @@ class TestSimulateCommand:
             ("theta", [0.5, 1.0, 1.0], "needs 4 theta values"),
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0],
                      "covariate_law": "uniform", "n": 200, "k": 2}, "true parameters"),
-            ("master_seed", -1, "master_seed must be >= 0"),
+            ("master_seed", -1, "master_seed must be an integer >= 0, got -1"),
             ("master_seed", 1.7, "master_seed must be an integer"),
             ("L", 2.5, "L must be an integer"),
             ("replications", "12", "replications must be an integer"),
@@ -344,6 +360,15 @@ class TestSimulateCommand:
             ("partition", {"kind": "gessaman", "T": 2.5}, "T must be an integer"),
             ("partition", {"kind": "rtp", "T": 2, "r": 1.5}, "r must be an integer"),
             ("theta", [0.5, 1.0, "inf", 1.0], "theta must be finite"),
+            # misspelled keys: each is named, none is silently dropped
+            ("level", [0.01], "config (unknown fields 'level')"),
+            ("df_conventon", "unconditional", "config (unknown fields 'df_conventon')"),
+            ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
+                     "covariate_law": "uniform", "n": 200, "k": 2, "nn": 5},
+             "dgp (unknown fields 'nn')"),
+            ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
+                     "covariate_law": "uniform", "k": 2}, "dgp (missing required fields 'n')"),
+            ("partition", {"kind": "rtp", "T": 2, "R": 3}, "partition (unknown fields 'R')"),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(
@@ -538,6 +563,11 @@ class TestExitCodes:
             # x1 in (0, 0.5] lies in both cells
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": [0.5, "inf"]},'
             ' {"lower": [0, "-inf"], "upper": ["inf", "inf"]}]}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "orign": "rtp"}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"], "n": 1}]}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "seed": 1.7}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "T": true}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "r": "3"}',
         ],
     )
     def test_unreadable_partition_file_exit_3(self, gauss_csv, tmp_path, capsys, text):
@@ -597,16 +627,45 @@ class TestExitCodes:
         assert "each once" in err and "x1,x2,x1" in err
         _assert_one_line(err)
 
+    @pytest.mark.parametrize("command", ["test", "partition"])
+    def test_repeated_header_column_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "dup.csv"
+        path.write_text("y,x1,x1,x2\n1.0,0.5,0.7,0.1\n2.0,0.2,0.1,0.3\n")
+        argv = {
+            "test": ["test", "--data", str(path), "--y", "y", "--model", "gaussian_linear"],
+            "partition": ["partition", "--data", str(path)],
+        }[command]
+        assert main([*argv, "--x", "x1"]) == 3
+        err = capsys.readouterr().err
+        assert "'x1' appears more than once" in err and "dup.csv" in err
+        _assert_one_line(err)
+        # a repeated column that is not requested is not read
+        y, x = read_csv_columns(str(path), "y", ["x2"])
+        assert y.tolist() == [1.0, 2.0] and x[:, 0].tolist() == [0.1, 0.3]
+
+    @pytest.mark.parametrize("estimator", ["known", "raw", "grouped"])
+    def test_response_outside_support_exit_3(self, tmp_path, capsys, estimator):
+        path = _exponential_csv(tmp_path, bad_rows={7: -0.25, 11: -3.0})
+        theta = ["--theta", "0,0,0"] if estimator == "known" else []
+        code = main(["test", "--data", path, "--y", "y", "--x", "x1,x2",
+                     "--model", "exponential_regression", "--estimator", estimator, *theta,
+                     "--partition", "gessaman"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "exp.csv: response at row 7 is -0.25, outside the support y >= 0.0" in err
+        _assert_one_line(err)
+
     def test_column_shared_by_y_and_x_read_once(self, gauss_csv):
         y, x = read_csv_columns(gauss_csv, "x1", ["x1", "x2"])
         assert y.shape == (300,) and x.shape == (300, 2)
         np.testing.assert_array_equal(y, x[:, 0])
 
-    def test_overflowed_rate_runs_without_warnings(self, gauss_csv):
+    def test_overflowed_rate_runs_without_warnings(self, tmp_path):
         # exp(1e5) overflows to inf, the right limit of the rate; nothing on stderr
         src = str(Path(condgof.__file__).resolve().parent.parent)
+        path = _exponential_csv(tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-m", "condgof.cli", "test", "--data", gauss_csv, "--y", "y",
+            [sys.executable, "-m", "condgof.cli", "test", "--data", path, "--y", "y",
              "--x", "x1,x2", "--model", "exponential_regression", "--estimator", "known",
              "--theta=1e5,0,0"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,

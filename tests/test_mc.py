@@ -374,6 +374,17 @@ class TestCalibrateDf:
         assert grouped["pearson"]["mean"] < raw["pearson"]["mean"]
 
 
+class TestSupport:
+    @pytest.mark.parametrize("estimator", ["known", "raw_mle", "min_chisq"])
+    def test_replication_with_negative_response_fails(self, estimator):
+        # Gaussian responses fall below the exponential family's support y >= 0
+        cfg = _known_cfg(model="exponential_regression", estimator=estimator,
+                         theta=(0.0, 0.0, 0.0) if estimator == "known" else None)
+        outcome = run_replication(cfg, 0)
+        assert outcome.reports == {}
+        assert outcome.error.startswith("OutOfSupportError: response at row ")
+
+
 class TestConfigSerialization:
     def test_round_trip(self):
         cfg = _known_cfg(
@@ -404,6 +415,36 @@ class TestConfigSerialization:
             config_from_dict(doc)
         msg = str(exc.value)
         assert "dgp" in msg and "partition" in msg
+
+    def test_unknown_and_missing_fields_named_section_by_section(self):
+        doc = config_to_dict(_known_cfg())
+        doc.update(level=[0.01], stat=["lr"], df_conventon="unconditional")
+        doc["dgp"]["nn"] = 5
+        del doc["dgp"]["k"]
+        doc["partition"]["R"] = 2
+        with pytest.raises(InvalidArgumentError) as exc:
+            config_from_dict(doc)
+        assert str(exc.value) == (
+            "invalid simulation config fields: "
+            "config (unknown fields 'level', 'stat', 'df_conventon'); "
+            "dgp (unknown fields 'nn'); dgp (missing required fields 'k'); "
+            "partition (unknown fields 'R')"
+        )
+
+    def test_absent_fields_take_dataclass_defaults(self):
+        doc = {
+            "dgp": config_to_dict(_known_cfg())["dgp"],
+            "model": "gaussian_linear",
+            "estimator": "raw_mle",
+            "L": 4,
+            "partition": {"kind": "rtp"},
+        }
+        cfg = config_from_dict(doc)
+        assert cfg == SimConfig(
+            dgp=NULL_DGP, model="gaussian_linear", estimator="raw_mle", L=4,
+            partition=PartitionRule(kind="rtp"),
+        )
+        assert (cfg.replications, cfg.partition.T, cfg.theta) == (100, 2, None)
 
     def test_bad_top_level(self):
         with pytest.raises(InvalidArgumentError):

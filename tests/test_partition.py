@@ -218,6 +218,9 @@ class TestRtp:
             dict(T=2.5, r=1, seed=0),
             dict(T=2, r=1.5, seed=0),
             dict(T=2, r=0, seed=0),
+            dict(T=2, r=True, seed=0),
+            dict(T=2, r=1, seed=True),
+            dict(T=np.float64(2.0), r=1, seed=0),
         ]
         for args in bad:
             with pytest.raises(InvalidArgumentError, match="must be an integer"):
@@ -263,8 +266,19 @@ class TestSerialization:
             partition_from_dict({"origin": "fixed"})
         with pytest.raises(InvalidArgumentError):
             partition_from_dict({"cells": [{"lower": ["abc"], "upper": [1.0]}]})
-        with pytest.raises(InvalidArgumentError):
-            partition_from_dict({"cells": [{"lower": [0.0], "upper": [1.0]}], "seed": "x"})
+        one = [{"lower": [0.0], "upper": [1.0]}]
+        for field in ("seed", "T", "r"):
+            for value in ("x", "3", 1.7, 3.0, True):
+                with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
+                    partition_from_dict({"cells": one, field: value})
+        with pytest.raises(InvalidArgumentError, match=r"unknown keys \['orign'\]"):
+            partition_from_dict({"cells": one, "orign": "rtp"})
+        with pytest.raises(InvalidArgumentError, match="cell 0 must hold exactly lower and upper"):
+            partition_from_dict({"cells": [dict(one[0], weight=1.0)]})
+        with pytest.raises(InvalidArgumentError, match="must be a JSON object"):
+            partition_from_dict([one])
+        clone = partition_from_dict({"cells": one, "origin": "rtp", "seed": 3, "T": 2, "r": 1})
+        assert (clone.origin, clone.seed, clone.T, clone.r) == ("rtp", 3, 2, 1)
         for cells in (
             [],  # no cell
             [{"lower": [1.0], "upper": [0.0]}],  # inverted bounds
