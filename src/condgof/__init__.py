@@ -8,12 +8,7 @@ randomized recursive tree) keep cells balanced; a Monte Carlo engine checks
 size and power of the whole procedure.
 """
 
-from .backend import (
-    chisq_sf,
-    erfc,
-    normal_cdf,
-    std_normal_cdf,
-)
+from .backend import chisq_sf
 from .errors import (
     CondgofError,
     ConvergenceFailureError,
@@ -105,9 +100,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # backend
-    "erfc",
-    "std_normal_cdf",
-    "normal_cdf",
     "chisq_sf",
     # errors
     "CondgofError",

@@ -1,13 +1,15 @@
 """Numerical kernels: special functions and cell location.
 
-The Monte Carlo engine evaluates the standard normal CDF on the order of a
-million times per experiment and locates every observation in a covariate
-partition once per replication, so the array kernels are vectorized numpy;
-the scalar special functions are plain python.
+The Monte Carlo engine locates every observation in a covariate partition
+once per replication, so cell location is vectorized numpy. The normal
+special functions come from the standard library.
 
-- _erfc_scalar: complementary error function via the classic three-regime
-  rational approximations (Cody 1969), good to ~1e-15 relative. _erfc_np
-  is the same approximation over arrays.
+- erfc, std_normal_cdf, normal_cdf: the standard library's math.erfc
+  (mapped over arrays element by element), within 2.5 ulp of mpmath on
+  [-6, 27].
+- std_normal_quantile: statistics.NormalDist().inv_cdf (Wichura's AS241),
+  within 3.6 ulp of mpmath at every interior threshold of balanced_grid(L)
+  for L <= 64 and at i/T for T <= 8.
 - _chisq_sf_scalar: regularized upper incomplete gamma Q(df/2, x/2) via a
   lower-tail power series for small x and a Lentz-style continued fraction
   for the upper tail; chisq_sf states its measured accuracy.
@@ -16,116 +18,14 @@ the scalar special functions are plain python.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
-_INV_SQRT2 = 0.7071067811865476
-_RSQRTPI = 5.6418958354775628695e-1  # 1/sqrt(pi)
 _MACHEP = 1.1102230246251565e-16
-
-# Rational approximation coefficients for erf/erfc (double precision).
-_EA0 = 3.16112374387056560e0
-_EA1 = 1.13864154151050156e2
-_EA2 = 3.77485237685302021e2
-_EA3 = 3.20937758913846947e3
-_EA4 = 1.85777706184603153e-1
-_EB0 = 2.36012909523441209e1
-_EB1 = 2.44024637934444173e2
-_EB2 = 1.28261652607737228e3
-_EB3 = 2.84423683343917062e3
-
-_EC0 = 5.64188496988670089e-1
-_EC1 = 8.88314979438837594e0
-_EC2 = 6.61191906371416295e1
-_EC3 = 2.98635138197400131e2
-_EC4 = 8.81952221241769090e2
-_EC5 = 1.71204761263407058e3
-_EC6 = 2.05107837782607147e3
-_EC7 = 1.23033935479799725e3
-_EC8 = 2.15311535474403846e-8
-_ED0 = 1.57449261107098347e1
-_ED1 = 1.17693950891312499e2
-_ED2 = 5.37181101862009858e2
-_ED3 = 1.62138957456669019e3
-_ED4 = 3.29079923573345963e3
-_ED5 = 4.36261909014324716e3
-_ED6 = 3.43936767414372164e3
-_ED7 = 1.23033935480374942e3
-
-_EP0 = 3.05326634961232344e-1
-_EP1 = 3.60344899949804439e-1
-_EP2 = 1.25781726111229246e-1
-_EP3 = 1.60837851487422766e-2
-_EP4 = 6.58749161529837803e-4
-_EP5 = 1.63153871373020978e-2
-_EQ0 = 2.56852019228982242e0
-_EQ1 = 1.87295284992346047e0
-_EQ2 = 5.27905102951428412e-1
-_EQ3 = 6.05183413124413191e-2
-_EQ4 = 2.33520497626869185e-3
-
-
-def _erfc_scalar(x: float) -> float:
-    if math.isnan(x):
-        return math.nan
-    ax = abs(x)
-    if ax == math.inf:
-        return 0.0 if x > 0.0 else 2.0
-    if ax <= 0.46875:
-        z = x * x
-        num = _EA4 * z
-        den = z
-        num = (num + _EA0) * z
-        den = (den + _EB0) * z
-        num = (num + _EA1) * z
-        den = (den + _EB1) * z
-        num = (num + _EA2) * z
-        den = (den + _EB2) * z
-        erf = x * (num + _EA3) / (den + _EB3)
-        return 1.0 - erf
-    if ax <= 4.0:
-        y = ax
-        num = _EC8 * y
-        den = y
-        num = (num + _EC0) * y
-        den = (den + _ED0) * y
-        num = (num + _EC1) * y
-        den = (den + _ED1) * y
-        num = (num + _EC2) * y
-        den = (den + _ED2) * y
-        num = (num + _EC3) * y
-        den = (den + _ED3) * y
-        num = (num + _EC4) * y
-        den = (den + _ED4) * y
-        num = (num + _EC5) * y
-        den = (den + _ED5) * y
-        num = (num + _EC6) * y
-        den = (den + _ED6) * y
-        r = (num + _EC7) / (den + _ED7)
-    else:
-        y = ax
-        z = 1.0 / (y * y)
-        num = _EP5 * z
-        den = z
-        num = (num + _EP0) * z
-        den = (den + _EQ0) * z
-        num = (num + _EP1) * z
-        den = (den + _EQ1) * z
-        num = (num + _EP2) * z
-        den = (den + _EQ2) * z
-        num = (num + _EP3) * z
-        den = (den + _EQ3) * z
-        r = z * (num + _EP4) / (den + _EQ4)
-        r = (_RSQRTPI - r) / y
-    # exp(-y*y) split to keep the exponent error small for large y
-    ysq = math.floor(y * 16.0) / 16.0
-    dely = (y - ysq) * (y + ysq)
-    res = math.exp(-ysq * ysq) * math.exp(-dely) * r
-    if x < 0.0:
-        return 2.0 - res
-    return res
+_SQRT2 = math.sqrt(2.0)
 
 
 def _chisq_sf_scalar(x: float, df: float) -> float:
@@ -192,102 +92,32 @@ def _chisq_sf_scalar(x: float, df: float) -> float:
     return ans * fac
 
 
-# ---------------------------------------------------------------------------
-# vectorized numpy kernels
-# ---------------------------------------------------------------------------
-
-
-def _expnx2_np(y):
-    ysq = np.floor(y * 16.0) / 16.0
-    dely = (y - ysq) * (y + ysq)
-    return np.exp(-ysq * ysq) * np.exp(-dely)
-
-
-def _erfc_np(x):
-    x = np.asarray(x, dtype=np.float64)
-    ax = np.abs(x)
-    out = np.full_like(ax, np.nan)  # NaN falls in none of the masks below
-
-    m1 = ax <= 0.46875
-    if m1.any():
-        xs = x[m1]
-        z = xs * xs
-        num = _EA4 * z
-        den = z.copy()
-        for a, b in ((_EA0, _EB0), (_EA1, _EB1), (_EA2, _EB2)):
-            num = (num + a) * z
-            den = (den + b) * z
-        out[m1] = 1.0 - xs * (num + _EA3) / (den + _EB3)
-
-    m2 = (ax > 0.46875) & (ax <= 4.0)
-    if m2.any():
-        y = ax[m2]
-        num = _EC8 * y
-        den = y.copy()
-        for c, d in (
-            (_EC0, _ED0),
-            (_EC1, _ED1),
-            (_EC2, _ED2),
-            (_EC3, _ED3),
-            (_EC4, _ED4),
-            (_EC5, _ED5),
-            (_EC6, _ED6),
-        ):
-            num = (num + c) * y
-            den = (den + d) * y
-        out[m2] = _expnx2_np(y) * (num + _EC7) / (den + _ED7)
-
-    m3 = ax > 4.0
-    if m3.any():
-        y = ax[m3]
-        z = 1.0 / (y * y)
-        num = _EP5 * z
-        den = z.copy()
-        for p, q in ((_EP0, _EQ0), (_EP1, _EQ1), (_EP2, _EQ2), (_EP3, _EQ3)):
-            num = (num + p) * z
-            den = (den + q) * z
-        r = z * (num + _EP4) / (den + _EQ4)
-        # exp(-y*y) is 0.0 from y = 28 on; the clamp keeps y = inf from giving inf - inf
-        out[m3] = _expnx2_np(np.minimum(y, 40.0)) * (_RSQRTPI - r) / y
-
-    neg = x < 0.0
-    fix = neg & ~m1
-    if fix.any():
-        out[fix] = 2.0 - out[fix]
-    return out
+_erfc_ufunc = np.frompyfunc(math.erfc, 1, 1)  # object-dtype results
 
 
 def erfc(x):
     """Complementary error function, scalar or 1-d array; NaN maps to NaN."""
     if np.ndim(x) == 0:
-        return _erfc_scalar(float(x))
-    return _erfc_np(np.ascontiguousarray(x, dtype=np.float64))
+        return math.erfc(float(x))
+    return _erfc_ufunc(np.ascontiguousarray(x, dtype=np.float64)).astype(np.float64)
 
 
 def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF at a scalar point, absolute error below 1e-12."""
-    return 0.5 * _erfc_scalar(-float(z) * _INV_SQRT2)
+    """Standard normal CDF at a scalar point, absolute error below 2e-16."""
+    return 0.5 * math.erfc(-float(z) / _SQRT2)
 
 
 def normal_cdf(z):
     """Standard normal CDF over a 1-d array."""
-    return 0.5 * _erfc_np(-np.ascontiguousarray(z, dtype=np.float64) * _INV_SQRT2)
+    return 0.5 * erfc(-np.ascontiguousarray(z, dtype=np.float64) / _SQRT2)
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF by Newton iteration on std_normal_cdf."""
+    """Inverse standard normal CDF at a level strictly inside (0, 1)."""
     p = float(p)
     if not 0.0 < p < 1.0:
         raise InvalidArgumentError(f"quantile level must be in (0, 1), got {p}")
-    z = 0.0
-    for _ in range(60):
-        err = std_normal_cdf(z) - p
-        dens = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        step = err / dens
-        z -= step
-        if abs(step) < 1e-14:
-            break
-    return z
+    return NormalDist().inv_cdf(p)
 
 
 def chisq_sf(x: float, df) -> float:

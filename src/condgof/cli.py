@@ -72,23 +72,23 @@ def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
                 raise DataError(f"{path}: column {col!r} appears more than once in the header")
             positions[col] = header.index(col)
         rows = {col: [] for col in wanted}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
+        # row i is data row i counted from 0, header and blank lines not counted
+        data_rows = (row for row in reader if row and (len(row) > 1 or row[0].strip()))
+        for i, row in enumerate(data_rows):
             for col in wanted:
                 pos = positions[col]
                 if pos >= len(row):
-                    raise DataError(f"{path}: row {lineno} has no column {col!r}")
+                    raise DataError(f"{path}: row {i} has no column {col!r}")
                 raw = row[pos].strip()
                 try:
                     val = float(raw)
                 except ValueError:
                     raise DataError(
-                        f"{path}: row {lineno}, column {col!r}: not numeric: {raw!r}"
+                        f"{path}: row {i}, column {col!r}: not numeric: {raw!r}"
                     ) from None
                 if not math.isfinite(val):
                     raise DataError(
-                        f"{path}: row {lineno}, column {col!r}: non-finite value {raw!r}"
+                        f"{path}: row {i}, column {col!r}: non-finite value {raw!r}"
                     )
                 rows[col].append(val)
         n = len(rows[wanted[0]]) if wanted else 0

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -306,12 +307,18 @@ def _bound_to_json(v: float):
     return float(v)
 
 
-def _bound_from_json(v) -> float:
+def _bound_from_json(v, j: int) -> float:
+    """A finite JSON number (not a bool), or exactly "inf" or "-inf"."""
     if v == "inf":
         return np.inf
     if v == "-inf":
         return -np.inf
-    return float(v)
+    # Python compares ints and floats exactly, so this also bars huge ints and NaN
+    if isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max:
+        return float(v)
+    raise InvalidArgumentError(
+        f'cell {j} bounds must be finite numbers, "inf" or "-inf", got {v!r}'
+    )
 
 
 def partition_to_dict(p: Partition) -> dict:
@@ -347,12 +354,15 @@ def partition_from_dict(doc: dict) -> Partition:
         unknown = [key for key in doc if key != "cells" and key not in _DOCUMENT_META]
         if unknown:
             raise InvalidArgumentError(f"unknown keys {unknown}")
+        lower, upper = [], []
         for j, cell in enumerate(doc["cells"]):
             if not isinstance(cell, dict) or cell.keys() != {"lower", "upper"}:
                 raise InvalidArgumentError(f"cell {j} must hold exactly lower and upper")
+            lower.append([_bound_from_json(v, j) for v in cell["lower"]])
+            upper.append([_bound_from_json(v, j) for v in cell["upper"]])
         part = Partition(
-            np.array([[_bound_from_json(v) for v in c["lower"]] for c in doc["cells"]]),
-            np.array([[_bound_from_json(v) for v in c["upper"]] for c in doc["cells"]]),
+            np.array(lower),
+            np.array(upper),
             **{key: doc[key] for key in _DOCUMENT_META if key in doc},
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -483,7 +483,8 @@ class TestExitCodes:
     def test_bad_cell_names_row_and_column_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         for cell in ("oops", "nan", "inf", "-Infinity"):
-            path.write_text(f"y,x1\n1.0,0.5\n{cell},0.2\n")
+            # blank lines are not counted: row 1 is the second data row
+            path.write_text(f"y,x1\n1.0,0.5\n\n{cell},0.2\n")
             code = main(
                 [
                     "test",
@@ -499,7 +500,7 @@ class TestExitCodes:
             )
             assert code == 3
             err = capsys.readouterr().err
-            assert "row 3" in err and "'y'" in err and cell in err
+            assert "row 1" in err and "'y'" in err and cell in err
             _assert_one_line(err)
 
     def test_ragged_row_exit_3(self, tmp_path, capsys):
@@ -519,7 +520,7 @@ class TestExitCodes:
             ]
         )
         assert code == 3
-        assert "row 3" in capsys.readouterr().err
+        assert "row 1" in capsys.readouterr().err
 
     def test_computation_failure_exit_4(self, tmp_path, capsys):
         # 6 rows cannot fill a 16-cell equal-count partition
@@ -568,6 +569,11 @@ class TestExitCodes:
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "seed": 1.7}',
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "T": true}',
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "inf"]}], "r": "3"}',
+            # bounds are finite numbers or exactly "inf"/"-inf", never coerced
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", true]}]}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "3"]}]}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", " 1e400 "]}]}',
+            '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "Infinity"]}]}',
         ],
     )
     def test_unreadable_partition_file_exit_3(self, gauss_csv, tmp_path, capsys, text):

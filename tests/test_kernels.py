@@ -9,6 +9,7 @@ from scipy import integrate
 
 from condgof import backend
 from condgof.errors import InvalidArgumentError
+from condgof.tabulate import balanced_grid
 
 
 def normal_cdf_oracle(z: float) -> float:
@@ -90,6 +91,16 @@ class TestNormalCdf:
             backend.std_normal_quantile(0.0)
         with pytest.raises(InvalidArgumentError):
             backend.std_normal_quantile(1.0)
+
+    def test_quantile_within_8_ulp_at_grid_thresholds(self):
+        # every interior threshold of balanced_grid(L), L <= 64, and i/T, T <= 8
+        levels = {float(t) for L in range(2, 65) for t in balanced_grid(L).thresholds[1:-1]}
+        levels |= {i / T for T in range(2, 9) for i in range(1, T)}
+        with mp.workdps(40):
+            for t in sorted(levels):
+                ref = mp.sqrt(2) * mp.erfinv(2 * mp.mpf(t) - 1)
+                got = backend.std_normal_quantile(t)
+                assert abs(got - ref) <= 8 * math.ulp(float(ref)), t
 
 
 class TestErfc:

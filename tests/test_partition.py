@@ -1,6 +1,8 @@
 """Partition constructors: balance bounds, determinism, and serialization."""
 
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +273,11 @@ class TestSerialization:
             for value in ("x", "3", 1.7, 3.0, True):
                 with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
                     partition_from_dict({"cells": one, field: value})
+        # bounds are finite numbers or exactly "inf"/"-inf", never coerced
+        for bound in (True, "3", " 1e400 ", "Infinity", math.inf, 10**400):
+            match = f"cell 1 bounds .* got {re.escape(repr(bound))}"
+            with pytest.raises(InvalidArgumentError, match=match):
+                partition_from_dict({"cells": one + [{"lower": [1.0], "upper": [bound]}]})
         with pytest.raises(InvalidArgumentError, match=r"unknown keys \['orign'\]"):
             partition_from_dict({"cells": one, "orign": "rtp"})
         with pytest.raises(InvalidArgumentError, match="cell 0 must hold exactly lower and upper"):
@@ -329,7 +336,7 @@ class TestPinnedDocuments:
         "gessaman_T2": "c35259d2565853a822e973c3229f572d0c3b626ba9b5fad7760522cdc7253cf9",
         "gessaman_T3": "f3124b25dc8a58c01d61234306b34f63df390233dea9a54f4e1dee7d9e1f5f98",
         "grid_T3": "87bf551e012d2acae2b885c2489ae38d48aab82e5c959491eb8b920342a6fb31",
-        "law_normal": "099eef12b092a4e0a118dd92f5982837bb0eaa9cc551ae92b05ebb62a3890912",
+        "law_normal": "1944492bbaa6e08dd222b49f1de623751d51bca61d80b42976b4c7604f6c66eb",
         "law_uniform": "e40d5de3a3c735d465fb6113517aa3ea9a1ebd6c8463a55699c5a38da3b61d6e",
         "rtp_T2_r1": "4636e3bc9d3b50ddbc1557937c800ca957ff0747bf7cb3bea9a653b67e960c33",
         "rtp_T2_r1_dup": "cccd46a296f329afb6bc5af19e535ef6489953cc88c1e0b0f316fc7c36e46ed6",
