@@ -73,10 +73,6 @@ from .partition import (
     rtp_partition,
 )
 from .stats import (
-    DfConvention,
-    DfPolicy,
-    EstimatorKind,
-    StatKind,
     TestReport,
     WaldInputs,
     has_zero_cells,
@@ -144,10 +140,6 @@ __all__ = [
     "cross_classify",
     "require_positive_columns",
     # stats
-    "StatKind",
-    "EstimatorKind",
-    "DfConvention",
-    "DfPolicy",
     "TestReport",
     "WaldInputs",
     "pearson_stat",

@@ -39,7 +39,7 @@ from .partition import (
     partition_to_dict,
     rtp_partition,
 )
-from .stats import TestReport
+from .stats import DF_CONVENTIONS, STATISTICS, TestReport
 from .tabulate import balanced_grid
 
 _ESTIMATOR_FLAGS = {
@@ -47,53 +47,53 @@ _ESTIMATOR_FLAGS = {
     "raw": "raw_mle",
     "grouped": "min_chisq",
 }
-_STAT_CHOICES = ("pearson", "lr", "lm", "neyman", "wald")
 
 
 def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
     """Strict numeric CSV reader: header required, finite decimal floats only."""
     try:
-        fh = open(path, "r", newline="", encoding="utf-8")
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"{path}: empty file, header row required") from None
+            header = [h.strip() for h in header]
+            wanted = list(dict.fromkeys(([y_col] if y_col else []) + list(x_cols)))
+            positions = {}
+            for col in wanted:
+                if col not in header:
+                    raise DataError(f"{path}: missing column {col!r}; header is {header}")
+                if header.count(col) > 1:
+                    raise DataError(f"{path}: column {col!r} appears more than once in the header")
+                positions[col] = header.index(col)
+            rows = {col: [] for col in wanted}
+            # row i is data row i counted from 0, header and blank lines not counted
+            data_rows = (row for row in reader if row and (len(row) > 1 or row[0].strip()))
+            for i, row in enumerate(data_rows):
+                for col in wanted:
+                    pos = positions[col]
+                    if pos >= len(row):
+                        raise DataError(f"{path}: row {i} has no column {col!r}")
+                    raw = row[pos].strip()
+                    try:
+                        val = float(raw)
+                    except ValueError:
+                        raise DataError(
+                            f"{path}: row {i}, column {col!r}: not numeric: {raw!r}"
+                        ) from None
+                    if not math.isfinite(val):
+                        raise DataError(
+                            f"{path}: row {i}, column {col!r}: non-finite value {raw!r}"
+                        )
+                    rows[col].append(val)
+            n = len(rows[wanted[0]]) if wanted else 0
+            if n == 0:
+                raise DataError(f"{path}: no data rows")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        wanted = list(dict.fromkeys(([y_col] if y_col else []) + list(x_cols)))
-        positions = {}
-        for col in wanted:
-            if col not in header:
-                raise DataError(f"{path}: missing column {col!r}; header is {header}")
-            if header.count(col) > 1:
-                raise DataError(f"{path}: column {col!r} appears more than once in the header")
-            positions[col] = header.index(col)
-        rows = {col: [] for col in wanted}
-        # row i is data row i counted from 0, header and blank lines not counted
-        data_rows = (row for row in reader if row and (len(row) > 1 or row[0].strip()))
-        for i, row in enumerate(data_rows):
-            for col in wanted:
-                pos = positions[col]
-                if pos >= len(row):
-                    raise DataError(f"{path}: row {i} has no column {col!r}")
-                raw = row[pos].strip()
-                try:
-                    val = float(raw)
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i}, column {col!r}: not numeric: {raw!r}"
-                    ) from None
-                if not math.isfinite(val):
-                    raise DataError(
-                        f"{path}: row {i}, column {col!r}: non-finite value {raw!r}"
-                    )
-                rows[col].append(val)
-        n = len(rows[wanted[0]]) if wanted else 0
-        if n == 0:
-            raise DataError(f"{path}: no data rows")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     y = np.asarray(rows[y_col]) if y_col else None
     x = np.column_stack([rows[c] for c in x_cols]) if x_cols else None
     return y, x
@@ -111,11 +111,11 @@ def _parse_theta(raw: str, expected: int) -> np.ndarray:
 
 def _parse_stats(raw: str) -> list[str]:
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    if not names:
-        raise UsageError("--stats must name at least one statistic")
+    if not names or len(set(names)) != len(names):
+        raise UsageError(f"--stats must name at least one statistic, each once; got {raw!r}")
     for nm in names:
-        if nm not in _STAT_CHOICES:
-            raise UsageError(f"unknown statistic {nm!r}; choices: {','.join(_STAT_CHOICES)}")
+        if nm not in STATISTICS:
+            raise UsageError(f"unknown statistic {nm!r}; choices: {','.join(STATISTICS)}")
     return names
 
 
@@ -136,9 +136,9 @@ def _check_int_flags(args, **minimums: int) -> None:
 
 def _report_to_dict(rep: TestReport) -> dict:
     doc = {
-        "kind": rep.kind.value,
+        "kind": rep.kind,
         "value": rep.value,
-        "estimator": rep.estimator.value,
+        "estimator": rep.estimator,
     }
     if rep.df is not None:
         doc["df"] = rep.df
@@ -352,9 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--T", type=int, default=2, help="children per split")
     p_test.add_argument("--r", type=int, default=1, help="splits per axis (rtp)")
     p_test.add_argument("--seed", type=int, default=None, help="partition seed (default 0)")
-    p_test.add_argument(
-        "--df-policy", choices=("conditional", "unconditional"), default="conditional"
-    )
+    p_test.add_argument("--df-policy", choices=DF_CONVENTIONS, default="conditional")
     p_test.add_argument("--stats", default="pearson,lr,wald")
     p_test.add_argument("--partition-file", help="reuse a serialized partition")
     p_test.add_argument("--out", help="write the JSON report here")

@@ -99,3 +99,9 @@ def as_integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def whole_fields(owner, **minimums: int) -> None:
+    """Store each named field of owner through as_integer with its minimum."""
+    for name, least in minimums.items():
+        object.__setattr__(owner, name, as_integer(name, getattr(owner, name), least))

@@ -20,6 +20,7 @@ Three routes with different downstream calibration:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ from .errors import (
     InvalidStartError,
     ModelEvaluationError,
     SingularDesignError,
+    whole_fields,
 )
 from .models import (
     _SIGMA_MIN,
@@ -53,12 +55,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise InvalidArgumentError("max_iterations must be >= 0")
-        if self.tolerance <= 0:
-            raise InvalidArgumentError("tolerance must be > 0")
-        if self.restarts < 0:
-            raise InvalidArgumentError("restarts must be >= 0")
+        whole_fields(self, max_iterations=0, restarts=0, seed=0)
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidArgumentError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
 
 
 def mle_gaussian_linear(data: Dataset) -> np.ndarray:

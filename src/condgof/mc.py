@@ -32,18 +32,19 @@ from .errors import (
     ExperimentInvalidError,
     InvalidArgumentError,
     OutOfSupportError,
-    as_integer,
+    whole_fields,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
 from .models import ConditionalModel, Dataset, resolve_model, response_bins
 from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import (
-    DfConvention,
-    DfPolicy,
-    EstimatorKind,
-    StatKind,
+    DF_CONVENTIONS,
+    ESTIMATORS,
+    STATISTICS,
     TestReport,
     WaldInputs,
+    policy_df,
+    require_name,
     run_test,
 )
 from .tabulate import ContingencyTable, UGrid, balanced_grid, tabulate_cells
@@ -55,12 +56,6 @@ DGP_FAMILIES = {
     "exponential_regression": 1,
 }
 COVARIATE_LAWS = ("uniform", "normal")
-
-
-def _whole(owner, **minimums: int) -> None:
-    """Store each named field of owner through as_integer with its minimum."""
-    for name, least in minimums.items():
-        object.__setattr__(owner, name, as_integer(name, getattr(owner, name), least))
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class DgpSpec:
             raise InvalidArgumentError(
                 f"unknown covariate law {self.covariate_law!r}; known: {COVARIATE_LAWS}"
             )
-        _whole(self, n=1, k=1)
+        whole_fields(self, n=1, k=1)
         object.__setattr__(self, "true_params", tuple(float(v) for v in self.true_params))
         if not all(map(math.isfinite, self.true_params)):
             raise InvalidArgumentError(f"true_params must be finite, got {self.true_params}")
@@ -105,7 +100,7 @@ class PartitionRule:
     def __post_init__(self):
         if self.kind not in ("grid", "gessaman", "rtp"):
             raise InvalidArgumentError(f"unknown partition rule {self.kind!r}")
-        _whole(self, T=2, r=1)
+        whole_fields(self, T=2, r=1)
 
     def cell_count(self, k: int) -> int:
         if self.kind == "rtp":
@@ -117,7 +112,7 @@ class PartitionRule:
 class SimConfig:
     dgp: DgpSpec
     model: str
-    estimator: str  # "known" | "raw_mle" | "min_chisq"
+    estimator: str  # one of stats.ESTIMATORS
     L: int
     partition: PartitionRule
     stats: tuple[str, ...] = ("pearson",)
@@ -128,21 +123,20 @@ class SimConfig:
     df_convention: str = "conditional"
 
     def __post_init__(self):
-        if self.estimator not in ("known", "raw_mle", "min_chisq"):
-            raise InvalidArgumentError(f"unknown estimator {self.estimator!r}")
-        _whole(self, L=1, replications=1, master_seed=0)
-        if not self.stats:
-            raise InvalidArgumentError("at least one statistic is required")
+        require_name("estimator", self.estimator, ESTIMATORS)
+        whole_fields(self, L=1, replications=1, master_seed=0)
+        if isinstance(self.stats, str) or not self.stats:
+            raise InvalidArgumentError(
+                f"stats must be a list of at least one statistic, got {self.stats!r}"
+            )
         for s in self.stats:
-            if s not in ("pearson", "lr", "lm", "neyman", "wald"):
-                raise InvalidArgumentError(f"unknown statistic {s!r}")
+            require_name("statistic", s, STATISTICS)
+        if len(set(self.stats)) != len(self.stats):
+            raise InvalidArgumentError(f"stats must name each statistic once, got {self.stats}")
         for lv in self.levels:
             if not 0.0 < lv < 1.0:
                 raise InvalidArgumentError(f"levels must lie in (0, 1), got {lv}")
-        if self.df_convention not in ("conditional", "unconditional"):
-            raise InvalidArgumentError(
-                f"unknown df convention {self.df_convention!r}"
-            )
+        require_name("df convention", self.df_convention, DF_CONVENTIONS)
         if self.estimator == "known" and self.theta is None:
             raise InvalidArgumentError("estimator 'known' requires theta")
         param_dim = resolve_model(self.model, self.dgp.k).param_dim
@@ -225,12 +219,6 @@ def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> Partition
     return part
 
 
-def _df_policy(model: ConditionalModel, estimator: str, convention: str) -> DfPolicy:
-    """The df book of an estimator: a known theta costs no degrees of freedom."""
-    p_adjust = 0 if estimator == "known" else model.param_dim
-    return DfPolicy(DfConvention(convention), p_adjust=p_adjust)
-
-
 def run_pipeline(
     model: ConditionalModel,
     data: Dataset,
@@ -277,20 +265,11 @@ def run_pipeline(
     bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
     table = tabulate_cells(bins, cells, grid, partition.J)
 
-    estimator_kind = EstimatorKind(estimator)
-    policy = _df_policy(model, estimator, df_convention)
     wald_in = WaldInputs(model=model, theta_hat=theta, data=data, grid=grid, cells=cells)
-    reports = {}
-    for name in stats:
-        if name != "wald":
-            kind = StatKind(name)
-        elif estimator_kind is EstimatorKind.RAW_MLE:
-            kind = StatKind.WALD_RAW_MLE
-        else:
-            kind = StatKind.WALD_NULL
-        reports[name] = run_test(
-            kind, table, policy, estimator=estimator_kind, wald_inputs=wald_in
-        )
+    reports = {
+        name: run_test(name, table, estimator, model.param_dim, df_convention, wald_in)
+        for name in stats
+    }
     return theta, table, reports
 
 
@@ -437,14 +416,13 @@ def calibrate_df(cfg: SimConfig) -> dict:
     """Null-distribution diagnostic: statistic means against both df books.
 
     Runs the experiment and reports, per statistic, the Monte Carlo mean and
-    its standard error next to the conditional and unconditional df under
-    the configured adjustment, plus the mean reported point df when the
+    its standard error next to policy_df under each df convention for the
+    configured estimator, plus the mean reported point df when the
     statistic carries one (the raw-MLE Wald's covariance rank).
     """
     res = run_experiment(cfg)
-    model = resolve_model(cfg.model, cfg.dgp.k)
+    p = resolve_model(cfg.model, cfg.dgp.k).param_dim
     J = cfg.partition.cell_count(cfg.dgp.k)
-    L = cfg.L
     out = {}
     for name in cfg.stats:
         summ = res.summary(name)
@@ -453,8 +431,7 @@ def calibrate_df(cfg: SimConfig) -> dict:
         out[name] = {
             "mean": summ.mean,
             "se": se,
-            "df_conditional": _df_policy(model, cfg.estimator, "conditional").df(L, J),
-            "df_unconditional": _df_policy(model, cfg.estimator, "unconditional").df(L, J),
+            **{f"df_{c}": policy_df(cfg.estimator, c, cfg.L, J, p) for c in DF_CONVENTIONS},
             "mean_reported_df": summ.mean_df,
             "replications": n_eff,
         }

@@ -12,19 +12,22 @@ correction: its covariance S_base - C I^{-1} C' is inverted on its range by
 Woodbury around the diagonal generalized inverse diag(1/p0) of S_base, so
 no LJ x LJ matrix is built.
 
-Degrees of freedom follow a policy: the conditional convention J*(L-1),
-motivated by the columns being independent multinomials given the covariate
-cell counts, or the unconditional JL - 1. Estimating p parameters from the
+A run is named by plain strings, each list spelled once here: the
+statistic (STATISTICS), how theta was obtained (ESTIMATORS) and the df
+convention (DF_CONVENTIONS). policy_df is the one df rule: the conditional
+convention J*(L-1), motivated by the columns being independent multinomials
+given the covariate cell counts, or the unconditional JL - 1, less the
+model's p parameters unless theta is known. Estimating p parameters from the
 raw data leaves Pearson and the likelihood ratio with a distribution pinned
-only between chi-square laws with df and df - p degrees of freedom, so for
-that estimator run_test reports a df interval and a p-value interval; the
-Wald form built at the raw-data MLE repairs its own covariance and gets a
-point df equal to the numerical rank of that covariance.
+only between chi-square laws with that df and p more, so under raw_mle
+run_test reports a df interval and a p-value interval; "wald" there is the
+form built at the raw-data MLE, which repairs its own covariance and gets a
+point df equal to the numerical rank of that covariance, whatever p is.
+Elsewhere "wald" is the null form and reports as "wald_null".
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidDfError,
     SingularInformationError,
+    as_integer,
 )
 from .models import ConditionalModel, Dataset, response_bins
 from .tabulate import ContingencyTable, UGrid, require_positive_columns
@@ -44,44 +48,23 @@ _RANK_RTOL = 1e-10
 _NEG_RTOL = 1e-8
 
 
-class StatKind(enum.Enum):
-    PEARSON = "pearson"
-    LR = "lr"
-    LM = "lm"
-    NEYMAN = "neyman"
-    WALD_NULL = "wald_null"
-    WALD_RAW_MLE = "wald_raw_mle"
+STATISTICS = ("pearson", "lr", "lm", "neyman", "wald")
+ESTIMATORS = ("known", "raw_mle", "min_chisq")
+DF_CONVENTIONS = ("conditional", "unconditional")
 
 
-class EstimatorKind(enum.Enum):
-    KNOWN = "known"
-    RAW_MLE = "raw_mle"
-    MIN_CHISQ = "min_chisq"
+def require_name(what: str, name, names: tuple[str, ...]) -> None:
+    """InvalidArgumentError unless name is one of names."""
+    if name not in names:
+        raise InvalidArgumentError(f"unknown {what} {name!r}; known: {', '.join(names)}")
 
 
-class DfConvention(enum.Enum):
-    CONDITIONAL = "conditional"  # J * (L - 1) - p_adjust
-    UNCONDITIONAL = "unconditional"  # J * L - 1 - p_adjust
-
-
-@dataclass(frozen=True)
-class DfPolicy:
-    """Degrees-of-freedom convention plus the parameter-count adjustment."""
-
-    convention: DfConvention = DfConvention.CONDITIONAL
-    p_adjust: int = 0
-
-    def __post_init__(self):
-        if self.p_adjust < 0:
-            raise InvalidArgumentError("p_adjust must be >= 0")
-
-    def base_df(self, L: int, J: int) -> int:
-        if self.convention is DfConvention.CONDITIONAL:
-            return J * (L - 1)
-        return J * L - 1
-
-    def df(self, L: int, J: int) -> int:
-        return self.base_df(L, J) - self.p_adjust
+def policy_df(estimator: str, df_convention: str, L: int, J: int, p: int) -> int:
+    """J(L-1) (conditional) or JL-1 (unconditional), less p unless theta is known."""
+    require_name("estimator", estimator, ESTIMATORS)
+    require_name("df convention", df_convention, DF_CONVENTIONS)
+    base = J * (L - 1) if df_convention == "conditional" else J * L - 1
+    return base if estimator == "known" else base - p
 
 
 def _expected(table: ContingencyTable) -> np.ndarray:
@@ -242,11 +225,15 @@ def wald_raw_mle(
 
 @dataclass
 class TestReport:
-    """One statistic with its degrees of freedom and p-value (or intervals)."""
+    """One statistic with its degrees of freedom and p-value (or intervals).
 
-    kind: StatKind
+    kind is the statistic's name, with "wald" resolved to "wald_raw_mle" or
+    "wald_null"; estimator is one of ESTIMATORS.
+    """
+
+    kind: str
     value: float
-    estimator: EstimatorKind
+    estimator: str
     df: int | None = None
     df_interval: tuple[int, int] | None = None
     p_value: float | None = None
@@ -279,7 +266,7 @@ def _point_report(kind, value, estimator, df, warnings) -> TestReport:
                 kind=kind,
                 value=value,
                 estimator=estimator,
-                df=df,
+                df=0,
                 p_value=1.0,
                 warnings=warnings + ["degenerate grid: 0 degrees of freedom, p forced to 1"],
             )
@@ -295,32 +282,30 @@ def _point_report(kind, value, estimator, df, warnings) -> TestReport:
 
 
 def run_test(
-    kind: StatKind,
+    stat: str,
     table: ContingencyTable,
-    df_policy: DfPolicy,
-    estimator: EstimatorKind = EstimatorKind.KNOWN,
+    estimator: str = "known",
+    p: int = 0,
+    df_convention: str = "conditional",
     wald_inputs: WaldInputs | None = None,
 ) -> TestReport:
-    """Compute one statistic and calibrate it per the df policy.
+    """Compute one statistic of STATISTICS and calibrate it.
 
-    Estimator semantics: known and min_chisq give a point df equal to the
-    policy df (with the policy's p_adjust); raw_mle gives pearson/lr a df
-    interval [base - p_adjust, base] with the matching p-value interval,
-    and wald_raw_mle a point df equal to its covariance rank. Other kinds
-    under raw_mle fall back to the point policy df with a warning.
+    p is the model's parameter count and df = policy_df(estimator,
+    df_convention, L, J, p). known and min_chisq give every statistic the
+    point df; raw_mle gives pearson/lr the df interval [df, df + p] with the
+    matching p-value interval, wald its raw-MLE form (from wald_inputs) with
+    a point df equal to its covariance rank, and lm/neyman the point df with
+    a warning. Under known and min_chisq, wald is the null form, Pearson.
     """
-    if not isinstance(kind, StatKind):
-        raise InvalidArgumentError(f"kind must be a StatKind, got {kind!r}")
-    if not isinstance(estimator, EstimatorKind):
-        raise InvalidArgumentError(f"estimator must be an EstimatorKind, got {estimator!r}")
-    L, J = table.L, table.J
+    require_name("statistic", stat, STATISTICS)
+    p = as_integer("p", p, 0)
+    df = policy_df(estimator, df_convention, table.L, table.J, p)
     warnings: list[str] = []
 
-    if kind is StatKind.WALD_RAW_MLE:
-        if estimator is not EstimatorKind.RAW_MLE:
-            raise InvalidArgumentError("wald_raw_mle requires the raw_mle estimator")
+    if stat == "wald" and estimator == "raw_mle":
         if wald_inputs is None:
-            raise InvalidArgumentError("wald_raw_mle requires wald_inputs")
+            raise InvalidArgumentError("the raw-MLE wald statistic requires wald_inputs")
         value, rank = wald_raw_mle(
             table,
             wald_inputs.model,
@@ -329,42 +314,36 @@ def run_test(
             wald_inputs.grid,
             wald_inputs.cells,
         )
-        return _point_report(kind, value, estimator, rank, warnings)
+        return _point_report("wald_raw_mle", value, estimator, rank, warnings)
 
-    if kind in (StatKind.PEARSON, StatKind.LM, StatKind.WALD_NULL):
-        value = pearson_stat(table)  # LM and the null Wald n d' S+ d equal it exactly
-    elif kind is StatKind.LR:
+    kind = "wald_null" if stat == "wald" else stat
+    if stat == "lr":
         value = lr_stat(table)
         if has_zero_cells(table):
             warnings.append("zero observed cells contribute 0 to the likelihood ratio")
-    elif kind is StatKind.NEYMAN:
+    elif stat == "neyman":
         value = neyman_stat(table)
-    else:  # pragma: no cover - enum is exhaustive
-        raise InvalidArgumentError(f"unhandled statistic kind {kind}")
+    else:
+        value = pearson_stat(table)  # LM and the null Wald n d' S+ d equal it exactly
 
-    base = df_policy.base_df(L, J)
-    if estimator is EstimatorKind.RAW_MLE and kind in (StatKind.PEARSON, StatKind.LR):
-        df_lo = base - df_policy.p_adjust
-        df_hi = base
+    if estimator == "raw_mle" and stat in ("pearson", "lr"):
+        df_hi = df + p
         if value <= 1e-12 and df_hi < 1:
             return _point_report(kind, value, estimator, df_hi, warnings)
-        if df_lo < 1:
+        if df < 1:
             raise InvalidDfError(
-                f"lower df endpoint must be >= 1, got {df_lo} (base {base}, "
-                f"p_adjust {df_policy.p_adjust})"
+                f"lower df endpoint must be >= 1, got {df} (base {df_hi}, p {p})"
             )
-        p_lo = backend.chisq_sf(value, df_lo)
-        p_hi = backend.chisq_sf(value, df_hi)
         return TestReport(
             kind=kind,
             value=value,
             estimator=estimator,
-            df_interval=(df_lo, df_hi),
-            p_interval=(p_lo, p_hi),
+            df_interval=(df, df_hi),
+            p_interval=(backend.chisq_sf(value, df), backend.chisq_sf(value, df_hi)),
             warnings=warnings,
         )
-    if estimator is EstimatorKind.RAW_MLE:
+    if estimator == "raw_mle":
         warnings.append(
             "raw_mle calibration bracket applies; point df uses the adjusted policy value"
         )
-    return _point_report(kind, value, estimator, df_policy.df(L, J), warnings)
+    return _point_report(kind, value, estimator, df, warnings)

@@ -126,24 +126,27 @@ class TestTestCommand:
         assert res["df"] == 8  # 12 - 4 estimated parameters
         assert "p" in res
 
-    def test_single_bin_degenerate(self, gauss_csv, tmp_path):
+    @pytest.mark.parametrize("estimator", ["known", "raw", "grouped"])
+    def test_single_bin_degenerate(self, gauss_csv, tmp_path, estimator):
+        theta = ["--theta", "0.5,1.0,-0.7,1.0"] if estimator == "known" else []
         code, out = _run_test_cmd(
             gauss_csv,
             tmp_path,
             "--L",
             "1",
             "--estimator",
-            "known",
-            "--theta",
-            "0.5,1.0,-0.7,1.0",
+            estimator,
+            *theta,
             "--stats",
-            "pearson",
+            "pearson,lr,lm,neyman,wald",
         )
         assert code == 0
-        (res,) = json.loads(out.read_text())["results"]
-        assert res["value"] == pytest.approx(0.0, abs=1e-12)
-        assert res["p"] == 1.0
-        assert any("degenerate" in w for w in res["warnings"])
+        results = json.loads(out.read_text())["results"]
+        assert len(results) == 5
+        for res in results:
+            assert res["value"] == pytest.approx(0.0, abs=1e-12)
+            assert res["p"] == 1.0 and res["df"] == 0
+            assert any("degenerate" in w for w in res["warnings"])
 
     def test_stdout_when_no_out(self, gauss_csv, capsys):
         code = main(
@@ -369,6 +372,8 @@ class TestSimulateCommand:
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
                      "covariate_law": "uniform", "k": 2}, "dgp (missing required fields 'n')"),
             ("partition", {"kind": "rtp", "T": 2, "R": 3}, "partition (unknown fields 'R')"),
+            ("stats", ["pearson", "pearson"], "stats must name each statistic once"),
+            ("stats", "pearson", "stats must be a list"),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(
@@ -407,6 +412,13 @@ class TestExitCodes:
         )
         assert code == 2
         assert "hotelling" in capsys.readouterr().err
+
+    def test_repeated_stat_exit_2(self, gauss_csv, tmp_path, capsys):
+        code, out = _run_test_cmd(gauss_csv, tmp_path, "--stats", "pearson,pearson")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "each once" in err and "pearson,pearson" in err
+        _assert_one_line(err)
 
     def test_known_without_theta_exit_2(self, gauss_csv):
         code = main(
@@ -631,6 +643,19 @@ class TestExitCodes:
         assert main([*argv, "--x", "x1,x2,x1"]) == 2
         err = capsys.readouterr().err
         assert "each once" in err and "x1,x2,x1" in err
+        _assert_one_line(err)
+
+    @pytest.mark.parametrize("command", ["test", "partition"])
+    def test_non_utf8_csv_exit_3(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"y,x1,x2\n1.0,0.5,0.1\n2.0,0.2,\xff\n")
+        argv = {
+            "test": ["test", "--data", str(path), "--y", "y", "--model", "gaussian_linear"],
+            "partition": ["partition", "--data", str(path)],
+        }[command]
+        assert main([*argv, "--x", "x1,x2"]) == 3
+        err = capsys.readouterr().err
+        assert "latin.csv: not UTF-8 text" in err
         _assert_one_line(err)
 
     @pytest.mark.parametrize("command", ["test", "partition"])

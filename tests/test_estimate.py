@@ -264,6 +264,20 @@ class TestMinChisq:
             OptimizerConfig(tolerance=0.0)
         with pytest.raises(InvalidArgumentError):
             OptimizerConfig(restarts=-2)
+        bad = [
+            {"seed": -1},
+            {"seed": 1.5},
+            {"restarts": 1.5},
+            {"max_iterations": 2.5},
+            {"max_iterations": True},
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+        ]
+        for kwargs in bad:
+            with pytest.raises(InvalidArgumentError):
+                OptimizerConfig(**kwargs)
+        cfg = OptimizerConfig(max_iterations=np.int64(20), seed=2**64 - 1)
+        assert type(cfg.max_iterations) is int and cfg.seed == 2**64 - 1
 
 
 class _OuterProduct(GaussianLinearModel):

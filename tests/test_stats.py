@@ -10,15 +10,11 @@ from condgof import (
     ContingencyTable,
     CovarianceConstructionError,
     Dataset,
-    DfConvention,
-    DfPolicy,
     EmptyCellError,
-    EstimatorKind,
     GaussianLinearModel,
     InvalidArgumentError,
     InvalidDfError,
     SingularInformationError,
-    StatKind,
     UGrid,
     WaldInputs,
     balanced_grid,
@@ -39,7 +35,7 @@ from condgof import (
 )
 from condgof import TestReport as Report
 from condgof.models import ExponentialRegressionModel
-from condgof.stats import _wald_form, wald_raw_mle
+from condgof.stats import _wald_form, policy_df, wald_raw_mle
 
 import wald_oracle
 
@@ -100,7 +96,7 @@ class TestPointStatistics:
 
     def test_empty_column_rejected(self):
         t = _table([[3, 0], [2, 0]])
-        wald_null = lambda t: run_test(StatKind.WALD_NULL, t, DfPolicy())  # noqa: E731
+        wald_null = lambda t: run_test("wald", t)  # noqa: E731
         for f in (pearson_stat, lr_stat, wald_null):
             with pytest.raises(EmptyCellError):
                 f(t)
@@ -121,7 +117,8 @@ class TestIdentities:
             value, rank = wald_oracle.null_form(t)
             assert abs(x2 - value) <= 1e-8 * max(1.0, x2)
             assert rank == t.L * t.J - 1
-            assert run_test(StatKind.WALD_NULL, t, DfPolicy()).value == x2
+            rep = run_test("wald", t)
+            assert rep.value == x2 and rep.kind == "wald_null"
 
     def test_lr_second_order_match(self):
         # with all cells close to expected the two statistics agree to O(dev)
@@ -164,15 +161,17 @@ class TestChisqSfReexport:
 
 class TestDfPolicy:
     def test_conventions(self):
-        cond = DfPolicy(DfConvention.CONDITIONAL, p_adjust=4)
-        assert cond.base_df(4, 5) == 15
-        assert cond.df(4, 5) == 11
-        uncond = DfPolicy(DfConvention.UNCONDITIONAL, p_adjust=0)
-        assert uncond.df(4, 5) == 19
+        assert policy_df("known", "conditional", 4, 5, 4) == 15
+        assert policy_df("raw_mle", "conditional", 4, 5, 4) == 11
+        assert policy_df("min_chisq", "conditional", 4, 5, 4) == 11
+        assert policy_df("known", "unconditional", 4, 5, 4) == 19
+        assert policy_df("min_chisq", "unconditional", 4, 5, 4) == 15
 
     def test_negative_adjust_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            DfPolicy(p_adjust=-1)
+        t = _table([[6, 4], [4, 6]])
+        for p in (-1, 1.5, True, "2"):
+            with pytest.raises(InvalidArgumentError):
+                run_test("pearson", t, "min_chisq", p=p)
 
 
 class TestRunTest:
@@ -182,19 +181,16 @@ class TestRunTest:
 
     def test_known_theta_point_df(self):
         t = self._big_table()
-        rep = run_test(StatKind.PEARSON, t, DfPolicy(p_adjust=0))
+        rep = run_test("pearson", t)
         assert rep.df == 15 and rep.df_interval is None
         assert rep.p_value == pytest.approx(chisq_sf(rep.value, 15), abs=1e-15)
-        assert rep.estimator is EstimatorKind.KNOWN
+        assert rep.estimator == "known" and rep.kind == "pearson"
+        # a known theta spends none of the model's parameters
+        assert run_test("pearson", t, "known", p=4).df == 15
 
     def test_raw_mle_bracket(self):
         t = self._big_table()
-        rep = run_test(
-            StatKind.PEARSON,
-            t,
-            DfPolicy(p_adjust=4),
-            estimator=EstimatorKind.RAW_MLE,
-        )
+        rep = run_test("pearson", t, "raw_mle", p=4)
         assert rep.df is None
         assert rep.df_interval == (11, 15)
         p_lo, p_hi = rep.p_interval
@@ -204,35 +200,30 @@ class TestRunTest:
 
     def test_min_chisq_point_df(self):
         t = self._big_table()
-        rep = run_test(
-            StatKind.LR,
-            t,
-            DfPolicy(p_adjust=4),
-            estimator=EstimatorKind.MIN_CHISQ,
-        )
+        rep = run_test("lr", t, "min_chisq", p=4)
         assert rep.df == 11 and rep.p_interval is None
 
     def test_interval_rejection_rule(self):
         r = Report(
-            kind=StatKind.PEARSON,
+            kind="pearson",
             value=20.0,
-            estimator=EstimatorKind.RAW_MLE,
+            estimator="raw_mle",
             df_interval=(11, 15),
             p_interval=(0.01, 0.07),
         )
         assert not r.rejects(0.05)
         r2 = Report(
-            kind=StatKind.PEARSON,
+            kind="pearson",
             value=30.0,
-            estimator=EstimatorKind.RAW_MLE,
+            estimator="raw_mle",
             df_interval=(11, 15),
             p_interval=(0.01, 0.04),
         )
         assert r2.rejects(0.05)
         r3 = Report(
-            kind=StatKind.PEARSON,
+            kind="pearson",
             value=5.0,
-            estimator=EstimatorKind.KNOWN,
+            estimator="known",
             df=3,
             p_value=0.03,
         )
@@ -242,45 +233,37 @@ class TestRunTest:
         # L = 1 means every count sits in its column margin: statistic 0
         O = np.array([[7, 9, 4]])
         t = _table(O, widths=np.array([1.0]))
-        rep = run_test(StatKind.PEARSON, t, DfPolicy())
+        rep = run_test("pearson", t)
         assert rep.value == pytest.approx(0.0, abs=1e-15)
         assert rep.p_value == 1.0
         assert any("degenerate" in w for w in rep.warnings)
+        # an estimated theta does not take the reported df below 0
+        for estimator in ("raw_mle", "min_chisq"):
+            for stat in ("pearson", "lr", "lm", "neyman"):
+                rep = run_test(stat, t, estimator, p=4)
+                assert rep.df == 0 and rep.p_value == 1.0
 
     def test_bracket_floor_error(self):
         t = _table([[6, 4], [4, 6]])
         with pytest.raises(InvalidDfError):
-            run_test(
-                StatKind.PEARSON,
-                t,
-                DfPolicy(p_adjust=2),
-                estimator=EstimatorKind.RAW_MLE,
-            )
+            run_test("pearson", t, "raw_mle", p=2)
 
     def test_argument_validation(self):
         t = self._big_table()
         with pytest.raises(InvalidArgumentError):
-            run_test("pearson", t, DfPolicy())
+            run_test("hotelling", t)
         with pytest.raises(InvalidArgumentError):
-            run_test(StatKind.PEARSON, t, DfPolicy(), estimator="known")
+            run_test("wald_raw_mle", t, "raw_mle", p=4)
         with pytest.raises(InvalidArgumentError):
-            run_test(StatKind.WALD_RAW_MLE, t, DfPolicy())
+            run_test("pearson", t, "raw")
         with pytest.raises(InvalidArgumentError):
-            run_test(
-                StatKind.WALD_RAW_MLE,
-                t,
-                DfPolicy(),
-                estimator=EstimatorKind.RAW_MLE,
-            )
+            run_test("pearson", t, df_convention="both")
+        with pytest.raises(InvalidArgumentError):
+            run_test("wald", t, "raw_mle", p=4)
 
     def test_raw_mle_other_kind_warns(self):
         t = self._big_table()
-        rep = run_test(
-            StatKind.WALD_NULL,
-            t,
-            DfPolicy(p_adjust=4),
-            estimator=EstimatorKind.RAW_MLE,
-        )
+        rep = run_test("lm", t, "raw_mle", p=4)
         assert rep.df == 11
         assert any("bracket" in w for w in rep.warnings)
 
@@ -376,10 +359,10 @@ class TestWaldRawMle:
     def test_run_test_wald_report(self):
         table, model, theta, data, grid, part = self._fit()
         rep = run_test(
-            StatKind.WALD_RAW_MLE,
+            "wald",
             table,
-            DfPolicy(p_adjust=4),
-            estimator=EstimatorKind.RAW_MLE,
+            "raw_mle",
+            p=4,
             wald_inputs=WaldInputs(
                 model=model,
                 theta_hat=theta,
@@ -388,7 +371,7 @@ class TestWaldRawMle:
                 cells=part.locate0(data.x),
             ),
         )
-        assert rep.df == part.J * (grid.L - 1)
+        assert rep.kind == "wald_raw_mle" and rep.df == part.J * (grid.L - 1)
         assert rep.p_value == pytest.approx(chisq_sf(rep.value, rep.df), abs=1e-15)
 
 
