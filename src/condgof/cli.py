@@ -179,6 +179,15 @@ def _read_partition_file(path: str) -> Partition:
         raise DataError(f"{path}: invalid partition file: {exc}") from exc
 
 
+def _data_partition(rule: str, x: np.ndarray, T: int, r: int, seed: int):
+    """(partition, description) of x under the gessaman, rtp or marginal grid rule."""
+    if rule == "gessaman":
+        return gessaman_partition(x, T), {"kind": "gessaman", "T": T}
+    if rule == "rtp":
+        return rtp_partition(x, T, r, seed)[0], {"kind": "rtp", "T": T, "r": r, "seed": seed}
+    return marginal_grid_partition(x, T), {"kind": "grid", "T": T}
+
+
 def cmd_test(args) -> int:
     x_cols = _parse_x(args.x)
     stats = _parse_stats(args.stats)
@@ -193,18 +202,11 @@ def cmd_test(args) -> int:
         partition = _read_partition_file(args.partition_file)
         if partition.k != data.k:
             raise DataError(
-                f"partition file has dimension {partition.k}, data has {data.k}"
+                f"{args.partition_file}: partition has dimension {partition.k}, data has {data.k}"
             )
         partition_desc = {"kind": "file", "path": args.partition_file}
-    elif args.partition == "gessaman":
-        partition = gessaman_partition(data.x, args.T)
-        partition_desc = {"kind": "gessaman", "T": args.T}
-    elif args.partition == "rtp":
-        partition, _axes = rtp_partition(data.x, args.T, args.r, seed)
-        partition_desc = {"kind": "rtp", "T": args.T, "r": args.r, "seed": seed}
     else:
-        partition = marginal_grid_partition(data.x, args.T)
-        partition_desc = {"kind": "grid", "T": args.T}
+        partition, partition_desc = _data_partition(args.partition, data.x, args.T, args.r, seed)
 
     theta = None
     if estimator == "known":
@@ -294,12 +296,7 @@ def cmd_partition(args) -> int:
     _check_int_flags(args, T=2, r=1, seed=0)
     _y, x = read_csv_columns(args.data, None, x_cols)
     seed = 0 if args.seed is None else args.seed
-    if args.rule == "gessaman":
-        part = gessaman_partition(x, args.T)
-    elif args.rule == "rtp":
-        part, _axes = rtp_partition(x, args.T, args.r, seed)
-    else:
-        part = marginal_grid_partition(x, args.T)
+    part, _desc = _data_partition(args.rule, x, args.T, args.r, seed)
     counts = cell_counts(part, x)
     doc = {
         "version": __version__,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import typing
 from dataclasses import dataclass, field
 
@@ -125,7 +126,7 @@ class SimConfig:
     def __post_init__(self):
         require_name("estimator", self.estimator, ESTIMATORS)
         whole_fields(self, L=1, replications=1, master_seed=0)
-        if isinstance(self.stats, str) or not self.stats:
+        if not isinstance(self.stats, (list, tuple)) or not self.stats:
             raise InvalidArgumentError(
                 f"stats must be a list of at least one statistic, got {self.stats!r}"
             )
@@ -133,9 +134,15 @@ class SimConfig:
             require_name("statistic", s, STATISTICS)
         if len(set(self.stats)) != len(self.stats):
             raise InvalidArgumentError(f"stats must name each statistic once, got {self.stats}")
-        for lv in self.levels:
-            if not 0.0 < lv < 1.0:
-                raise InvalidArgumentError(f"levels must lie in (0, 1), got {lv}")
+        if not isinstance(self.levels, (list, tuple)) or not self.levels or not all(
+            isinstance(lv, numbers.Real) and not isinstance(lv, bool) and 0.0 < lv < 1.0
+            for lv in self.levels
+        ):
+            raise InvalidArgumentError(
+                f"levels must be a list of at least one number in (0, 1), got {self.levels!r}"
+            )
+        if len(set(self.levels)) != len(self.levels):
+            raise InvalidArgumentError(f"levels must name each level once, got {self.levels}")
         require_name("df convention", self.df_convention, DF_CONVENTIONS)
         if self.estimator == "known" and self.theta is None:
             raise InvalidArgumentError("estimator 'known' requires theta")
@@ -265,7 +272,7 @@ def run_pipeline(
     bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
     table = tabulate_cells(bins, cells, grid, partition.J)
 
-    wald_in = WaldInputs(model=model, theta_hat=theta, data=data, grid=grid, cells=cells)
+    wald_in = WaldInputs(model=model, theta_hat=theta, data=data, cells=cells)
     reports = {
         name: run_test(name, table, estimator, model.param_dim, df_convention, wald_in)
         for name in stats

@@ -27,6 +27,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidParameterError,
     ModelEvaluationError,
+    as_integer,
 )
 
 _LOG_2PI = 1.8378770664093453
@@ -86,9 +87,7 @@ class ConditionalModel(ABC):
     support_lower: float = -np.inf
 
     def __init__(self, k: int):
-        if k < 1:
-            raise InvalidArgumentError(f"k must be >= 1, got {k}")
-        self.k = int(k)
+        self.k = as_integer("k", k, 1)
 
     @property
     @abstractmethod

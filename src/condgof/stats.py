@@ -42,7 +42,7 @@ from .errors import (
     as_integer,
 )
 from .models import ConditionalModel, Dataset, response_bins
-from .tabulate import ContingencyTable, UGrid, require_positive_columns
+from .tabulate import ContingencyTable, require_positive_columns
 
 _RANK_RTOL = 1e-10
 _NEG_RTOL = 1e-8
@@ -194,7 +194,6 @@ def wald_raw_mle(
     model: ConditionalModel,
     theta_hat: np.ndarray,
     data: Dataset,
-    grid: UGrid,
     cells: np.ndarray,
 ) -> tuple[float, int]:
     """Wald statistic at the raw-data MLE with its score-adjusted covariance.
@@ -202,8 +201,9 @@ def wald_raw_mle(
     The covariance of the cell discrepancies shrinks when cells move with
     the estimated parameter: Sigma = S_base - C I^{-1} C', where S_base is
     block-diagonal by covariate cell with blocks qhat_j (diag(w) - w w'), C
-    holds per-cell score means and I the estimated information; cells holds
-    the 0-based covariate cell of each row of data. The statistic is
+    holds per-cell score means and I the estimated information. The response
+    bins are those of table.grid, and cells holds the 0-based covariate cell
+    of each row of data, as the table was binned. The statistic is
     n d' Sigma+ d, computed as Pearson plus a p x p correction (_wald_form).
     Returns the statistic and the rank of Sigma, J(L-1) less the number of
     numerically zero eigenvalues of M = I - C' diag(1/p0) C; that rank is
@@ -219,7 +219,7 @@ def wald_raw_mle(
     """
     require_positive_columns(table)
     theta = model.validate_theta(theta_hat)
-    C, info = _score_moments(model, theta, data, grid, cells, table.J)
+    C, info = _score_moments(model, theta, data, table.grid, cells, table.J)
     return _wald_form(table, C, info)
 
 
@@ -249,12 +249,11 @@ class TestReport:
 
 @dataclass
 class WaldInputs:
-    """Extra inputs wald_raw_mle needs beyond the table."""
+    """Extra inputs wald_raw_mle needs beyond the table, which carries the grid."""
 
     model: ConditionalModel
     theta_hat: np.ndarray
     data: Dataset
-    grid: UGrid
     cells: np.ndarray  # 0-based covariate cell per row of data
 
 
@@ -306,14 +305,8 @@ def run_test(
     if stat == "wald" and estimator == "raw_mle":
         if wald_inputs is None:
             raise InvalidArgumentError("the raw-MLE wald statistic requires wald_inputs")
-        value, rank = wald_raw_mle(
-            table,
-            wald_inputs.model,
-            wald_inputs.theta_hat,
-            wald_inputs.data,
-            wald_inputs.grid,
-            wald_inputs.cells,
-        )
+        w = wald_inputs
+        value, rank = wald_raw_mle(table, w.model, w.theta_hat, w.data, w.cells)
         return _point_report("wald_raw_mle", value, estimator, rank, warnings)
 
     kind = "wald_null" if stat == "wald" else stat

@@ -3,7 +3,8 @@
 The unit interval is cut into L bins by a grid of thresholds; bin ell is
 the half-open interval (t_{ell-1}, t_ell], with v = 0 assigned to bin 1.
 Cross-classifying the bin index of each response (models.bin_pivots) against
-the covariate-partition cell of its row gives the observed table O, whose
+the covariate-partition cell of its row gives the observed table O. A
+table is its counts plus its grid; the margins derive from O, so its
 column sums are the partition cell counts by construction.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCellError, InvalidArgumentError
+from .errors import EmptyCellError, InvalidArgumentError, as_integer
 from .models import bin_pivots
 from .partition import Partition
 
@@ -51,20 +52,20 @@ class UGrid:
 
 def balanced_grid(L: int) -> UGrid:
     """Equal-width grid with thresholds ell / L."""
-    if L < 1:
-        raise InvalidArgumentError(f"L must be >= 1, got {L}")
+    L = as_integer("L", L, 1)
     return UGrid(np.arange(L + 1, dtype=np.float64) / L)
 
 
 @dataclass(frozen=True, eq=False)
 class ContingencyTable:
-    """Observed counts O (L x J) plus the margins the statistics need."""
+    """Counts plus grid: observed counts O (L x J) binned on grid.
+
+    The margins derive from O: column_counts N_j are its column sums, n its
+    total and q_hat = N_j / n; widths are the grid's bin widths.
+    """
 
     O: np.ndarray
-    column_counts: np.ndarray
-    n: int
-    widths: np.ndarray
-    q_hat: np.ndarray
+    grid: UGrid
 
     def __post_init__(self):
         O = np.array(self.O, dtype=np.int64, copy=True)
@@ -72,31 +73,36 @@ class ContingencyTable:
             raise InvalidArgumentError("O must be a 2-d count matrix")
         if (O < 0).any():
             raise InvalidArgumentError("counts must be nonnegative")
-        col = np.array(self.column_counts, dtype=np.int64, copy=True)
-        widths = np.array(self.widths, dtype=np.float64, copy=True)
-        if col.shape != (O.shape[1],) or widths.shape != (O.shape[0],):
-            raise InvalidArgumentError("margin shapes do not match O")
-        if not np.array_equal(O.sum(axis=0), col):
-            raise InvalidArgumentError("column_counts must equal column sums of O")
-        if int(O.sum()) != int(self.n):
-            raise InvalidArgumentError("n must equal the total count")
-        if (widths <= 0).any() or abs(widths.sum() - 1.0) > 1e-12:
-            raise InvalidArgumentError("widths must be positive and sum to 1")
-        q = np.array(self.q_hat, dtype=np.float64, copy=True)
-        for arr in (O, col, widths, q):
-            arr.flags.writeable = False
+        if O.shape[0] != self.grid.L:
+            raise InvalidArgumentError(
+                f"O has {O.shape[0]} rows but the grid has {self.grid.L} bins"
+            )
+        O.flags.writeable = False
         object.__setattr__(self, "O", O)
-        object.__setattr__(self, "column_counts", col)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "q_hat", q)
 
     @property
     def L(self) -> int:
-        return self.O.shape[0]
+        return self.grid.L
 
     @property
     def J(self) -> int:
         return self.O.shape[1]
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.grid.widths
+
+    @property
+    def column_counts(self) -> np.ndarray:
+        return self.O.sum(axis=0)
+
+    @property
+    def n(self) -> int:
+        return int(self.O.sum())
+
+    @property
+    def q_hat(self) -> np.ndarray:
+        return self.column_counts / self.n
 
 
 def cross_classify(v, x, grid: UGrid, partition: Partition) -> ContingencyTable:
@@ -116,15 +122,8 @@ def cross_classify(v, x, grid: UGrid, partition: Partition) -> ContingencyTable:
 
 def tabulate_cells(bins: np.ndarray, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTable:
     """The table of rows with the given 0-based response bins and covariate cells."""
-    O = np.bincount(bins * J + cells, minlength=grid.L * J).reshape(grid.L, J)
-    n = bins.shape[0]
-    col = O.sum(axis=0)
     return ContingencyTable(
-        O=O,
-        column_counts=col,
-        n=n,
-        widths=grid.widths,
-        q_hat=col / n,
+        np.bincount(bins * J + cells, minlength=grid.L * J).reshape(grid.L, J), grid
     )
 
 

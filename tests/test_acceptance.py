@@ -22,6 +22,7 @@ from condgof import (
     PartitionRule,
     SimConfig,
     aggregate,
+    balanced_grid,
     calibrate_df,
     cell_counts,
     chisq_sf,
@@ -90,11 +91,7 @@ def test_01_pearson_equals_lm_and_null_wald():
         L = int(rng.integers(2, 7))
         J = int(rng.integers(2, 7))
         O = rng.integers(1, 60, size=(L, J))
-        col = O.sum(axis=0)
-        n = int(O.sum())
-        t = ContingencyTable(
-            O=O, column_counts=col, n=n, widths=np.full(L, 1.0 / L), q_hat=col / n
-        )
+        t = ContingencyTable(O=O, grid=balanced_grid(L))
         x2 = pearson_stat(t)
         worst_lm = max(worst_lm, abs(x2 - lm_stat(t)))
         worst_wald = max(worst_wald, abs(x2 - null_form(t)[0]))

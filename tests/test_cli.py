@@ -174,48 +174,66 @@ class TestTestCommand:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_partition_file_round_trip(self, gauss_csv, tmp_path, capsys):
+        # `partition --rule R` and `test --partition R` build the same cells
         part_doc = tmp_path / "part.json"
-        code = main(
-            [
-                "partition",
-                "--data",
+        for rule, origin in (("gessaman", "gessaman"), ("grid", "fixed"), ("rtp", "rtp")):
+            code = main(
+                [
+                    "partition",
+                    "--data",
+                    gauss_csv,
+                    "--x",
+                    "x1,x2",
+                    "--rule",
+                    rule,
+                    "--T",
+                    "2",
+                    "--out",
+                    str(part_doc),
+                ]
+            )
+            assert code == 0
+            assert json.loads(part_doc.read_text())["partition"]["origin"] == origin
+            direct_code, direct_out = _run_test_cmd(
                 gauss_csv,
-                "--x",
-                "x1,x2",
-                "--rule",
-                "gessaman",
-                "--T",
-                "2",
-                "--out",
+                tmp_path,
+                "--partition",
+                rule,
+                "--stats",
+                "pearson,lr",
+                name="direct.json",
+            )
+            reuse_code, reuse_out = _run_test_cmd(
+                gauss_csv,
+                tmp_path,
+                "--partition-file",
                 str(part_doc),
+                "--stats",
+                "pearson,lr",
+                name="reuse.json",
+            )
+            assert direct_code == 0 and reuse_code == 0
+            direct = json.loads(direct_out.read_text())
+            reuse = json.loads(reuse_out.read_text())
+            assert direct["table"] == reuse["table"]
+            assert [r["value"] for r in direct["results"]] == [
+                r["value"] for r in reuse["results"]
             ]
-        )
+
+    def test_exponential_raw_mle_solves_score_equation(self, tmp_path):
+        # no closed form: run_pipeline takes the numeric MLE (mle_numeric)
+        path = _exponential_csv(tmp_path)
+        out = tmp_path / "exp.json"
+        code = main(["test", "--data", path, "--y", "y", "--x", "x1,x2",
+                     "--model", "exponential_regression", "--estimator", "raw",
+                     "--stats", "pearson,wald", "--out", str(out)])
         assert code == 0
-        direct_code, direct_out = _run_test_cmd(
-            gauss_csv,
-            tmp_path,
-            "--partition",
-            "gessaman",
-            "--stats",
-            "pearson,lr",
-            name="direct.json",
-        )
-        reuse_code, reuse_out = _run_test_cmd(
-            gauss_csv,
-            tmp_path,
-            "--partition-file",
-            str(part_doc),
-            "--stats",
-            "pearson,lr",
-            name="reuse.json",
-        )
-        assert direct_code == 0 and reuse_code == 0
-        direct = json.loads(direct_out.read_text())
-        reuse = json.loads(reuse_out.read_text())
-        assert direct["table"] == reuse["table"]
-        assert [r["value"] for r in direct["results"]] == [
-            r["value"] for r in reuse["results"]
-        ]
+        doc = json.loads(out.read_text())
+        y, x = read_csv_columns(path, "y", ["x1", "x2"])
+        model = resolve_model("exponential_regression", 2)
+        mean_score = model.score(y, x, np.array(doc["config"]["theta"])).mean(axis=0)
+        assert np.abs(mean_score).max() <= 1e-5
+        assert [r["kind"] for r in doc["results"]] == ["pearson", "wald_raw_mle"]
 
     @pytest.mark.parametrize("flag", ["raw", "grouped"])
     def test_report_equals_shared_pipeline(self, gauss_csv, tmp_path, flag):
@@ -374,6 +392,11 @@ class TestSimulateCommand:
             ("partition", {"kind": "rtp", "T": 2, "R": 3}, "partition (unknown fields 'R')"),
             ("stats", ["pearson", "pearson"], "stats must name each statistic once"),
             ("stats", "pearson", "stats must be a list"),
+            ("stats", 5, "stats must be a list"),
+            ("levels", [0.05, 0.05], "levels must name each level once"),
+            ("levels", 0.05, "levels must be a list"),
+            ("levels", ["0.05"], "levels must be a list"),
+            ("levels", [True], "levels must be a list"),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(
@@ -474,6 +497,37 @@ class TestExitCodes:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["test", "partition"])
+    @pytest.mark.parametrize(
+        "content, message", [("", "empty file, header row required"), ("y,x1\n\n", "no data rows")]
+    )
+    def test_empty_csv_exit_3(self, tmp_path, capsys, command, content, message):
+        path = tmp_path / "empty.csv"
+        path.write_text(content)
+        argv = {
+            "test": ["test", "--data", str(path), "--y", "y", "--model", "gaussian_linear"],
+            "partition": ["partition", "--data", str(path)],
+        }[command]
+        assert main([*argv, "--x", "x1"]) == 3
+        err = capsys.readouterr().err
+        assert f"empty.csv: {message}" in err
+        _assert_one_line(err)
+
+    @pytest.mark.parametrize(
+        "theta, message",
+        [
+            ("0,1,x,1", "--theta must be comma-separated numbers, got '0,1,x,1'"),
+            ("0,1,1,0", "invalid --theta"),
+            ("0,1,1,-1", "invalid --theta"),
+        ],
+    )
+    def test_invalid_theta_exit_2(self, gauss_csv, tmp_path, capsys, theta, message):
+        code, out = _run_test_cmd(gauss_csv, tmp_path, "--estimator", "known", f"--theta={theta}")
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert message in err
+        _assert_one_line(err)
 
     def test_missing_column_exit_3(self, gauss_csv, capsys):
         code = main(
@@ -586,6 +640,8 @@ class TestExitCodes:
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "3"]}]}',
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", " 1e400 "]}]}',
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "Infinity"]}]}',
+            # a one-dimensional partition for two covariates
+            '{"cells": [{"lower": ["-inf"], "upper": ["inf"]}]}',
         ],
     )
     def test_unreadable_partition_file_exit_3(self, gauss_csv, tmp_path, capsys, text):

@@ -75,6 +75,12 @@ class TestConfigValidation:
             _known_cfg(levels=(0.0,))
         with pytest.raises(InvalidArgumentError):
             _known_cfg(levels=(1.0,))
+        for levels in (0.05, "0.05", ("0.05",), (True,), (float("nan"),), ()):
+            with pytest.raises(InvalidArgumentError, match="levels must be a list"):
+                _known_cfg(levels=levels)
+        with pytest.raises(InvalidArgumentError, match="levels must name each level once"):
+            _known_cfg(levels=(0.05, 0.05))
+        assert _known_cfg(levels=[0.1, np.float64(0.05)]).levels == (0.1, 0.05)
         with pytest.raises(InvalidArgumentError):
             _known_cfg(stats=())
         with pytest.raises(InvalidArgumentError):

@@ -293,6 +293,14 @@ class TestHelpers:
         with pytest.raises(ModelEvaluationError):
             log_likelihood(Broken(k=1), (0.0, 1.0, 1.0), data)
 
+    @pytest.mark.parametrize("model_cls", [GaussianLinearModel, ExponentialRegressionModel])
+    def test_covariate_dimension_is_an_integer(self, model_cls):
+        for k in (0, -1, 2.7, 1.0, True, "2"):
+            with pytest.raises(InvalidArgumentError, match="k must be an integer >= 1"):
+                model_cls(k=k)
+        model = model_cls(k=np.int64(2))
+        assert model.k == 2 and type(model.k) is int
+
     def test_resolve_model(self):
         assert resolve_model("gaussian_linear", 3).param_dim == 5
         assert resolve_model("exponential_regression", 3).param_dim == 4

@@ -40,14 +40,9 @@ from condgof.stats import _wald_form, policy_df, wald_raw_mle
 import wald_oracle
 
 
-def _table(O, widths=None):
+def _table(O):
     O = np.asarray(O, dtype=np.int64)
-    L = O.shape[0]
-    if widths is None:
-        widths = np.full(L, 1.0 / L)
-    col = O.sum(axis=0)
-    n = int(O.sum())
-    return ContingencyTable(O=O, column_counts=col, n=n, widths=widths, q_hat=col / n)
+    return ContingencyTable(O=O, grid=balanced_grid(O.shape[0]))
 
 
 def _random_table(rng, L, J, lo=3, hi=40):
@@ -89,6 +84,10 @@ class TestPointStatistics:
         )
         assert lr_stat(t) == pytest.approx(manual, rel=1e-14)
         assert has_zero_cells(t)
+        rep = run_test("lr", t)
+        assert rep.value == lr_stat(t)
+        assert rep.warnings == ["zero observed cells contribute 0 to the likelihood ratio"]
+        assert run_test("lr", TAB_2X2).warnings == []
 
     def test_neyman_needs_positive_counts(self):
         with pytest.raises(EmptyCellError):
@@ -232,7 +231,7 @@ class TestRunTest:
     def test_degenerate_single_bin(self):
         # L = 1 means every count sits in its column margin: statistic 0
         O = np.array([[7, 9, 4]])
-        t = _table(O, widths=np.array([1.0]))
+        t = _table(O)
         rep = run_test("pearson", t)
         assert rep.value == pytest.approx(0.0, abs=1e-15)
         assert rep.p_value == 1.0
@@ -295,27 +294,27 @@ class TestWaldRawMle:
 
     def test_rank_is_structural(self):
         table, model, theta, data, grid, part = self._fit()
-        value, rank = wald_raw_mle(table, model, theta, data, grid, part.locate0(data.x))
+        value, rank = wald_raw_mle(table, model, theta, data, part.locate0(data.x))
         assert rank == part.J * (grid.L - 1)
         assert value > 0 and math.isfinite(value)
 
     def test_invariant_to_covariate_scaling(self):
         base, model, theta, data, grid, part = self._fit(seed=42)
-        w1, _ = wald_raw_mle(base, model, theta, data, grid, part.locate0(data.x))
+        w1, _ = wald_raw_mle(base, model, theta, data, part.locate0(data.x))
         tab2, model2, theta2, data2, grid2, part2 = self._fit(
             seed=42, scale=np.array([10.0, 0.1])
         )
         np.testing.assert_array_equal(base.O, tab2.O)
-        w2, _ = wald_raw_mle(tab2, model2, theta2, data2, grid2, part2.locate0(data2.x))
+        w2, _ = wald_raw_mle(tab2, model2, theta2, data2, part2.locate0(data2.x))
         assert w2 == pytest.approx(w1, rel=1e-8)
 
     def test_empirical_fallback(self):
         table, _model, theta, data, grid, part = self._fit()
         value, rank = wald_raw_mle(
-            table, _NoMoments(k=2), theta, data, grid, part.locate0(data.x)
+            table, _NoMoments(k=2), theta, data, part.locate0(data.x)
         )
         closed, _ = wald_raw_mle(
-            table, GaussianLinearModel(k=2), theta, data, grid, part.locate0(data.x)
+            table, GaussianLinearModel(k=2), theta, data, part.locate0(data.x)
         )
         assert rank == part.J * (grid.L - 1)
         # noisier ingredients, same target
@@ -325,16 +324,9 @@ class TestWaldRawMle:
         _table_, model, theta, data, grid, part = self._fit()
         O = np.array(_table_.O, copy=True)
         O[:, 0] = 0
-        col = O.sum(axis=0)
-        bad = ContingencyTable(
-            O=O,
-            column_counts=col,
-            n=int(O.sum()),
-            widths=_table_.widths,
-            q_hat=col / O.sum(),
-        )
+        bad = ContingencyTable(O=O, grid=grid)
         with pytest.raises(EmptyCellError):
-            wald_raw_mle(bad, model, theta, data, grid, part.locate0(data.x))
+            wald_raw_mle(bad, model, theta, data, part.locate0(data.x))
 
     def test_collinear_design_raises(self):
         rng = np.random.Generator(np.random.Philox(9))
@@ -351,10 +343,10 @@ class TestWaldRawMle:
         )
         with pytest.raises(SingularInformationError):
             wald_raw_mle(
-                table, GaussianLinearModel(k=2), theta, data, grid, part.locate0(data.x)
+                table, GaussianLinearModel(k=2), theta, data, part.locate0(data.x)
             )
         with pytest.raises(SingularInformationError):
-            wald_raw_mle(table, _NoMoments(k=2), theta, data, grid, part.locate0(data.x))
+            wald_raw_mle(table, _NoMoments(k=2), theta, data, part.locate0(data.x))
 
     def test_run_test_wald_report(self):
         table, model, theta, data, grid, part = self._fit()
@@ -367,7 +359,6 @@ class TestWaldRawMle:
                 model=model,
                 theta_hat=theta,
                 data=data,
-                grid=grid,
                 cells=part.locate0(data.x),
             ),
         )
@@ -430,9 +421,9 @@ class TestWaldAgainstDenseOracle:
             cells = part.locate0(x)
             table = cross_classify(rosenblatt(models[0], theta, data), x, grid, part)
             for model in models:
-                args = (table, model, theta, data, grid, cells)
+                args = (table, model, theta, data, cells)
                 try:
-                    dense = wald_oracle.wald_raw_mle(*args)
+                    dense = wald_oracle.wald_raw_mle(table, model, theta, data, grid, cells)
                 except CovarianceConstructionError:
                     with pytest.raises(CovarianceConstructionError):
                         wald_raw_mle(*args)

@@ -1,5 +1,7 @@
 """Response binning and the L x J cross-classification table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,8 +49,9 @@ class TestUGrid:
         np.testing.assert_allclose(g.widths, [0.1, 0.5, 0.4])
 
     def test_rejects_bad_grids(self):
-        with pytest.raises(InvalidArgumentError):
-            balanced_grid(0)
+        for L in (0, True, 2.5, 2.0, "2"):
+            with pytest.raises(InvalidArgumentError, match="L must be an integer >= 1"):
+                balanced_grid(L)
         with pytest.raises(InvalidArgumentError):
             UGrid(np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(InvalidArgumentError):
@@ -177,48 +180,32 @@ class TestCrossClassify:
 
 class TestContingencyTable:
     def _raw(self):
-        O = np.array([[3, 2], [1, 4]])
-        return dict(
-            O=O,
-            column_counts=O.sum(axis=0),
-            n=10,
-            widths=np.array([0.5, 0.5]),
-            q_hat=O.sum(axis=0) / 10,
-        )
+        return dict(O=np.array([[3, 2], [1, 4]]), grid=balanced_grid(2))
 
     def test_roundtrip_fields(self):
         t = ContingencyTable(**self._raw())
+        assert [f.name for f in dataclasses.fields(t)] == ["O", "grid"]
         assert t.L == 2 and t.J == 2 and t.n == 10
+        np.testing.assert_array_equal(t.column_counts, [4, 6])
+        np.testing.assert_array_equal(t.q_hat, [0.4, 0.6])
+        np.testing.assert_array_equal(t.widths, [0.5, 0.5])
         with pytest.raises(ValueError):
             t.O[0, 0] = 9
+        with pytest.raises(AttributeError):
+            t.n = 11
 
-    def test_rejects_inconsistent_margins(self):
-        bad = self._raw()
-        bad["column_counts"] = np.array([5, 5])
-        with pytest.raises(InvalidArgumentError):
-            ContingencyTable(**bad)
-        bad = self._raw()
-        bad["n"] = 11
-        with pytest.raises(InvalidArgumentError):
-            ContingencyTable(**bad)
-        bad = self._raw()
-        bad["widths"] = np.array([0.5, 0.4])
-        with pytest.raises(InvalidArgumentError):
-            ContingencyTable(**bad)
-        bad = self._raw()
-        bad["O"] = np.array([[3, 2], [1, -4]])
-        with pytest.raises(InvalidArgumentError):
-            ContingencyTable(**bad)
+    def test_rejects_bad_counts_and_grid_mismatch(self):
+        for O, grid in (
+            (np.array([[3, 2], [1, -4]]), balanced_grid(2)),
+            (np.array([3, 2, 1]), balanced_grid(2)),
+            (np.array([[3, 2], [1, 4]]), balanced_grid(3)),
+            (np.array([[3, 2], [1, 4]]), balanced_grid(1)),
+        ):
+            with pytest.raises(InvalidArgumentError):
+                ContingencyTable(O=O, grid=grid)
 
     def test_empty_column_guard(self):
-        O = np.array([[2, 0], [3, 0]])
-        t = ContingencyTable(
-            O=O,
-            column_counts=O.sum(axis=0),
-            n=5,
-            widths=np.array([0.5, 0.5]),
-            q_hat=O.sum(axis=0) / 5,
-        )
+        t = ContingencyTable(O=np.array([[2, 0], [3, 0]]), grid=balanced_grid(2))
         with pytest.raises(EmptyCellError, match="cell 2"):
             require_positive_columns(t)
         require_positive_columns(ContingencyTable(**self._raw()))
