@@ -39,13 +39,9 @@ from .mc import (
     RepOutcome,
     SimConfig,
     SimResult,
-    StatLevelResult,
-    StatSummary,
     aggregate,
     calibrate_df,
     config_from_dict,
-    config_to_dict,
-    ks_uniform_distance,
     law_grid_partition,
     run_experiment,
     run_replication,
@@ -56,26 +52,19 @@ from .models import (
     Dataset,
     ExponentialRegressionModel,
     GaussianLinearModel,
-    MODEL_FAMILIES,
-    log_likelihood,
     resolve_model,
     rosenblatt,
 )
 from .partition import (
     Partition,
-    cell_counts,
     gessaman_partition,
     marginal_grid_partition,
     partition_from_dict,
-    partition_from_json,
-    partition_to_dict,
-    partition_to_json,
     rtp_partition,
 )
 from .stats import (
     TestReport,
     WaldInputs,
-    has_zero_cells,
     lm_stat,
     lr_stat,
     neyman_stat,
@@ -88,7 +77,6 @@ from .tabulate import (
     UGrid,
     balanced_grid,
     cross_classify,
-    require_positive_columns,
 )
 
 __version__ = "0.1.0"
@@ -119,26 +107,19 @@ __all__ = [
     "ConditionalModel",
     "GaussianLinearModel",
     "ExponentialRegressionModel",
-    "MODEL_FAMILIES",
     "resolve_model",
     "rosenblatt",
-    "log_likelihood",
     # partition
     "Partition",
-    "cell_counts",
     "gessaman_partition",
     "marginal_grid_partition",
     "rtp_partition",
-    "partition_to_dict",
     "partition_from_dict",
-    "partition_to_json",
-    "partition_from_json",
     # tabulate
     "UGrid",
     "balanced_grid",
     "ContingencyTable",
     "cross_classify",
-    "require_positive_columns",
     # stats
     "TestReport",
     "WaldInputs",
@@ -147,7 +128,6 @@ __all__ = [
     "lm_stat",
     "neyman_stat",
     "wald_raw_mle",
-    "has_zero_cells",
     "run_test",
     # estimate
     "OptimizerConfig",
@@ -159,8 +139,6 @@ __all__ = [
     "PartitionRule",
     "SimConfig",
     "SimResult",
-    "StatLevelResult",
-    "StatSummary",
     "RepOutcome",
     "simulate_dataset",
     "law_grid_partition",
@@ -168,7 +146,5 @@ __all__ = [
     "aggregate",
     "run_experiment",
     "calibrate_df",
-    "ks_uniform_distance",
-    "config_to_dict",
     "config_from_dict",
 ]

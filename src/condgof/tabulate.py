@@ -60,6 +60,10 @@ def balanced_grid(L: int) -> UGrid:
 class ContingencyTable:
     """Counts plus grid: observed counts O (L x J) binned on grid.
 
+    O holds integers or whole-valued floats (3.0); fractional, NaN,
+    infinite, boolean and string counts are rejected, as is a grid that is
+    not a UGrid.
+
     The margins derive from O: column_counts N_j are its column sums, n its
     total and q_hat = N_j / n; widths are the grid's bin widths.
     """
@@ -68,7 +72,16 @@ class ContingencyTable:
     grid: UGrid
 
     def __post_init__(self):
-        O = np.array(self.O, dtype=np.int64, copy=True)
+        if not isinstance(self.grid, UGrid):
+            raise InvalidArgumentError(f"grid must be a UGrid, got {type(self.grid).__name__}")
+        O = np.asarray(self.O)
+        if O.dtype.kind not in "iuf":
+            raise InvalidArgumentError(f"counts must be whole numbers, got {O.dtype} values")
+        if O.dtype.kind == "f":
+            whole = (np.abs(O) < 2.0**63) & (O == np.round(O))  # False at NaN and inf
+            if not whole.all():
+                raise InvalidArgumentError(f"counts must be whole numbers, got {O[~whole][0]}")
+        O = np.array(O, dtype=np.int64, copy=True)
         if O.ndim != 2:
             raise InvalidArgumentError("O must be a 2-d count matrix")
         if (O < 0).any():

@@ -24,10 +24,8 @@ from condgof import (
     aggregate,
     balanced_grid,
     calibrate_df,
-    cell_counts,
     chisq_sf,
     gessaman_partition,
-    ks_uniform_distance,
     lm_stat,
     pearson_stat,
     resolve_model,
@@ -38,6 +36,8 @@ from condgof import (
     simulate_dataset,
 )
 from condgof.cli import main
+from condgof.mc import ks_uniform_distance
+from condgof.partition import cell_counts
 
 from wald_oracle import null_form
 

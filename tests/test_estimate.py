@@ -19,14 +19,13 @@ from condgof import (
     Partition,
     cross_classify,
     gessaman_partition,
-    log_likelihood,
     min_chisq_estimate,
     mle_gaussian_linear,
     mle_numeric,
     pearson_stat,
     rosenblatt,
 )
-from condgof.models import ConditionalModel
+from condgof.models import ConditionalModel, log_likelihood
 from condgof.stats import _score_moments
 
 

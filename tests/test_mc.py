@@ -18,13 +18,12 @@ from condgof import (
     backend,
     calibrate_df,
     config_from_dict,
-    config_to_dict,
-    ks_uniform_distance,
     law_grid_partition,
     run_experiment,
     run_replication,
     simulate_dataset,
 )
+from condgof.mc import config_to_dict, ks_uniform_distance
 
 NULL_DGP = DgpSpec(
     family="gaussian_linear",

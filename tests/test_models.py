@@ -13,8 +13,6 @@ from condgof import (
     GaussianLinearModel,
     backend,
     balanced_grid,
-    ks_uniform_distance,
-    log_likelihood,
     resolve_model,
     rosenblatt,
 )
@@ -23,7 +21,8 @@ from condgof.errors import (
     InvalidParameterError,
     ModelEvaluationError,
 )
-from condgof.models import response_bins
+from condgof.mc import ks_uniform_distance
+from condgof.models import log_likelihood, response_bins
 
 
 class TestDataset:

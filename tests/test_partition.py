@@ -3,23 +3,31 @@
 import hashlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from condgof import (
     Partition,
-    cell_counts,
+    backend,
     gessaman_partition,
     marginal_grid_partition,
-    partition_from_dict,
-    partition_from_json,
-    partition_to_dict,
-    partition_to_json,
     rtp_partition,
 )
 from condgof.errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
 from condgof.mc import law_grid_partition
+from condgof.partition import (
+    cell_counts,
+    partition_from_dict,
+    partition_from_json,
+    partition_to_dict,
+    partition_to_json,
+    product_partition,
+)
 
 
 def _uniform(n, k, seed):
@@ -240,6 +248,140 @@ class TestLocate:
         # threshold sits at the last point of the left group: cells are right-closed
         j = part.locate0(np.array([1.0, 2.0, 2.0000001, 4.0]))
         assert j[0] == j[1] != j[2] == j[3]
+
+
+def _probes(part, rng, n):
+    """Points whose coordinates are mostly cell bounds or their neighbours.
+
+    Each axis draws from its bounds (infinities included), the next float
+    above each finite bound, NaN, +inf, -inf and a few stray values, so
+    most rows lie on some cell face and many rows repeat.
+    """
+    cols = []
+    for d in range(part.k):
+        bounds = np.unique(np.concatenate((part.lower[:, d], part.upper[:, d])))
+        finite = bounds[np.isfinite(bounds)]
+        pool = np.concatenate(
+            (bounds, np.nextafter(finite, np.inf), [np.nan, np.inf, -np.inf], rng.uniform(-3, 3, 4))
+        )
+        cols.append(rng.choice(pool, n))
+    return np.column_stack(cols)
+
+
+def _spy_scan():
+    """Patch the box scan with a mock that records each fallback to it."""
+    return mock.patch.object(backend, "_locate_scan", wraps=backend._locate_scan)
+
+
+def _assert_table_is_scan(part, pts):
+    """locate_cells answers from its slot table exactly as the box scan would."""
+    with _spy_scan() as scan:
+        got = backend.locate_cells(pts, part.lower, part.upper)
+    assert not scan.called, "the slot table was not used"
+    np.testing.assert_array_equal(got, backend._locate_scan(pts, part.lower, part.upper))
+    assert got.dtype == np.int64
+
+
+def _built(kind, x, T, r, seed):
+    if kind == "rtp":
+        return rtp_partition(x, T, r, seed)[0]
+    if kind == "gessaman":
+        return gessaman_partition(x, T)
+    return marginal_grid_partition(x, T)
+
+
+class TestLocateTable:
+    """The slot table of backend.locate_cells against the box scan it replaces."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["rtp", "gessaman", "grid"]),
+        st.integers(1, 3),
+        st.integers(2, 3),
+        st.integers(1, 3),
+        st.sampled_from([None, 1, 0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_built_partitions(self, kind, k, T, r, decimals, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        x = rng.normal(size=(int(rng.integers(30, 300)), k))
+        if decimals is not None:
+            x = np.round(x, decimals)  # heavy ties on every axis
+        try:
+            part = _built(kind, x, T, r, seed)
+        except InsufficientDataError:
+            assume(False)
+        _assert_table_is_scan(part, np.concatenate((x, _probes(part, rng, 400))))
+        # a file partition without one cell does not tile R^k: its points are uncovered
+        doc = partition_to_dict(part)
+        gone = int(rng.integers(part.J))
+        del doc["cells"][gone]
+        if doc["cells"]:
+            holed = partition_from_dict(doc)
+            _assert_table_is_scan(holed, np.concatenate((x, _probes(part, rng, 400))))
+            cells = part.locate0(x)
+            want = np.where(cells == gone, -1, cells - (cells > gone))
+            np.testing.assert_array_equal(backend.locate_cells(x, *holed.bounds()), want)
+
+    def test_bounded_file_partition(self):
+        # a grid on [0, 1]^2 read from a file leaves everything outside it uncovered
+        part = partition_from_dict(
+            partition_to_dict(product_partition([[0.0, 0.3, 1.0], [0.0, 0.5, 0.7, 1.0]]))
+        )
+        rng = np.random.Generator(np.random.Philox(3))
+        pts = np.concatenate((_probes(part, rng, 500), rng.uniform(-0.5, 1.5, (500, 2))))
+        _assert_table_is_scan(part, pts)
+        probes = np.array([[0.0, 0.5], [0.3, 0.5], [0.3, 0.6], [1.0, 1.0], [1.0, 1.1]])
+        assert backend.locate_cells(probes, *part.bounds()).tolist() == [-1, 0, 1, 5, -1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    def test_overlapping_boxes_first_cell_wins(self, k, J, seed):
+        # the Partition constructor allows overlaps; only partition_from_dict rejects them
+        rng = np.random.Generator(np.random.Philox(seed))
+        values = np.array([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf])
+        a = rng.integers(0, 5, (J, k))
+        b = a + 1 + (rng.integers(0, 6, (J, k)) % (6 - 1 - a))
+        part = Partition(values[a], values[b])
+        _assert_table_is_scan(part, _probes(part, rng, 300))
+
+    def test_overlap_goes_to_the_first_cell(self):
+        part = Partition(np.array([[0.0], [-1.0], [1.0]]), np.array([[2.0], [3.0], [np.inf]]))
+        pts = np.array([[-1.0], [-0.5], [0.0], [1.5], [2.0], [2.5], [3.0], [np.inf], [np.nan]])
+        _assert_table_is_scan(part, pts)
+        idx = backend.locate_cells(pts, part.lower, part.upper)
+        assert idx.tolist() == [-1, 1, 1, 0, 0, 1, 1, 2, -1]
+
+    def test_non_finite_coordinates(self):
+        part, _ = rtp_partition(_uniform(200, 2, 30), 2, 2, seed=1)
+        top = int(np.argmax(np.isposinf(part.upper).all(axis=1)))  # the cell holding (+inf, +inf)
+        pts = np.array(
+            [[np.nan, 0.0], [0.0, np.nan], [-np.inf, 0.0], [0.0, -np.inf], [np.inf, np.inf]]
+        )
+        _assert_table_is_scan(part, pts)
+        idx = backend.locate_cells(pts, part.lower, part.upper)
+        assert idx.tolist() == [-1, -1, -1, -1, top]
+        with pytest.raises(UncoveredPointError, match="row 0"):
+            part.locate0(pts)
+
+    def test_both_sides_of_the_cap(self, monkeypatch):
+        x = np.round(_uniform(300, 3, 31), 1)
+        part, _ = rtp_partition(x, 3, 2, seed=7)
+        # |e_d| + 1 slots per axis: the distinct bounds less the two infinities, plus 1
+        entries = math.prod(
+            np.unique(np.concatenate((part.lower[:, d], part.upper[:, d]))).size - 1
+            for d in range(part.k)
+        )
+        pts = np.concatenate((x, _probes(part, np.random.Generator(np.random.Philox(8)), 600)))
+        want = backend._locate_scan(pts, part.lower, part.upper)
+        for cap, scanned in ((entries, False), (entries - 1, True), (0, True)):
+            monkeypatch.setattr(backend, "_TABLE_CAP", cap)
+            with _spy_scan() as scan:
+                got = backend.locate_cells(pts, part.lower, part.upper)
+            assert scan.called == scanned, cap
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(UncoveredPointError, match="row 1"):
+            part.locate0(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
 
 
 class TestSerialization:

@@ -21,7 +21,6 @@ from condgof import (
     chisq_sf,
     cross_classify,
     gessaman_partition,
-    has_zero_cells,
     lm_stat,
     lr_stat,
     OptimizerConfig,
@@ -35,7 +34,7 @@ from condgof import (
 )
 from condgof import TestReport as Report
 from condgof.models import ExponentialRegressionModel
-from condgof.stats import _wald_form, policy_df, wald_raw_mle
+from condgof.stats import _wald_form, has_zero_cells, policy_df, wald_raw_mle
 
 import wald_oracle
 

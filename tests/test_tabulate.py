@@ -1,6 +1,7 @@
 """Response binning and the L x J cross-classification table."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from condgof import (
     EmptyCellError,
     UGrid,
     balanced_grid,
-    cell_counts,
     cross_classify,
     gessaman_partition,
-    require_positive_columns,
 )
 from condgof.models import bin_pivots
+from condgof.partition import cell_counts
+from condgof.tabulate import require_positive_columns
 
 
 def bin_v(grid, v):
@@ -203,6 +204,28 @@ class TestContingencyTable:
         ):
             with pytest.raises(InvalidArgumentError):
                 ContingencyTable(O=O, grid=grid)
+
+    def test_rejects_non_count_values_and_non_grids(self):
+        grid = balanced_grid(2)
+        for O, got in (
+            ([[1.7, 2.9], [0.5, 3]], "1.7"),
+            (np.array([[3.0, np.nan], [1.0, 4.0]]), "nan"),
+            ([[3.0, 2.0], [np.inf, 4.0]], "inf"),
+            ([[3.0, 2.0], [1e300, 4.0]], "1e+300"),
+        ):
+            message = f"^counts must be whole numbers, got {re.escape(got)}$"
+            with pytest.raises(InvalidArgumentError, match=message):
+                ContingencyTable(O=O, grid=grid)
+        for O in ([["3", "2"], ["1", "4"]], [[True, False], [True, True]]):
+            with pytest.raises(InvalidArgumentError, match="^counts must be whole numbers, got "):
+                ContingencyTable(O=O, grid=grid)
+        for bad in ([0.0, 0.5, 1.0], np.array([0.0, 0.5, 1.0]), None):
+            with pytest.raises(InvalidArgumentError, match="^grid must be a UGrid, got "):
+                ContingencyTable(O=[[3, 2], [1, 4]], grid=bad)
+        # whole-valued float counts are counts
+        t = ContingencyTable(O=[[3.0, 2.0], [1.0, 4.0]], grid=grid)
+        assert t.O.dtype == np.int64
+        np.testing.assert_array_equal(t.O, [[3, 2], [1, 4]])
 
     def test_empty_column_guard(self):
         t = ContingencyTable(O=np.array([[2, 0], [3, 0]]), grid=balanced_grid(2))
