@@ -27,7 +27,6 @@ from .errors import (
     UncoveredPointError,
     UsageError,
 )
-from .estimate import OptimizerConfig
 from .mc import config_from_dict, run_experiment, run_pipeline
 from .models import Dataset, resolve_model
 from .partition import (
@@ -39,7 +38,7 @@ from .partition import (
     partition_to_dict,
     rtp_partition,
 )
-from .stats import DF_CONVENTIONS, STATISTICS, TestReport
+from .stats import STATISTICS, TestReport
 from .tabulate import balanced_grid
 
 _ESTIMATOR_FLAGS = {
@@ -193,6 +192,8 @@ def cmd_test(args) -> int:
     stats = _parse_stats(args.stats)
     _check_int_flags(args, L=1, T=2, r=1, seed=0)
     estimator = _ESTIMATOR_FLAGS[args.estimator]
+    if args.theta is not None and estimator != "known":
+        raise UsageError(f"--theta is used only by --estimator known, not {args.estimator}")
     y, x = read_csv_columns(args.data, args.y, x_cols)
     data = Dataset(y=y, x=x)
     model = resolve_model(args.model, data.k)
@@ -225,9 +226,8 @@ def cmd_test(args) -> int:
             balanced_grid(args.L),
             estimator,
             stats,
-            args.df_policy,
             theta,
-            OptimizerConfig(restarts=2, seed=seed),
+            seed,
         )
     except UncoveredPointError as exc:
         # only a partition read from a file can leave data uncovered
@@ -247,7 +247,6 @@ def cmd_test(args) -> int:
             "theta": [float(t) for t in theta],
             "L": args.L,
             "partition": partition_desc,
-            "df_policy": args.df_policy,
             "stats": stats,
             "seed": seed,
         },
@@ -327,8 +326,14 @@ def cmd_partition(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad flag is a usage error on one line, not argparse's usage block."""
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="condgof",
         description="Chi-square goodness-of-fit tests for conditional distributions",
     )
@@ -349,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--T", type=int, default=2, help="children per split")
     p_test.add_argument("--r", type=int, default=1, help="splits per axis (rtp)")
     p_test.add_argument("--seed", type=int, default=None, help="partition seed (default 0)")
-    p_test.add_argument("--df-policy", choices=DF_CONVENTIONS, default="conditional")
     p_test.add_argument("--stats", default="pearson,lr,wald")
     p_test.add_argument("--partition-file", help="reuse a serialized partition")
     p_test.add_argument("--out", help="write the JSON report here")
@@ -373,13 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help and --version
+        return exc.code if isinstance(exc.code, int) else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,6 @@ from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chi
 from .models import ConditionalModel, Dataset, resolve_model, response_bins
 from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import (
-    DF_CONVENTIONS,
     ESTIMATORS,
     STATISTICS,
     TestReport,
@@ -121,7 +120,6 @@ class SimConfig:
     replications: int = 100
     master_seed: int = 0
     theta: tuple[float, ...] | None = None
-    df_convention: str = "conditional"
 
     def __post_init__(self):
         require_name("estimator", self.estimator, ESTIMATORS)
@@ -143,9 +141,12 @@ class SimConfig:
             )
         if len(set(self.levels)) != len(self.levels):
             raise InvalidArgumentError(f"levels must name each level once, got {self.levels}")
-        require_name("df convention", self.df_convention, DF_CONVENTIONS)
         if self.estimator == "known" and self.theta is None:
             raise InvalidArgumentError("estimator 'known' requires theta")
+        if self.estimator != "known" and self.theta is not None:
+            raise InvalidArgumentError(
+                f"theta is used only by estimator 'known', not {self.estimator!r}"
+            )
         param_dim = resolve_model(self.model, self.dgp.k).param_dim
         object.__setattr__(self, "stats", tuple(self.stats))
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
@@ -233,19 +234,19 @@ def run_pipeline(
     grid: UGrid,
     estimator: str,
     stats: tuple[str, ...] | list[str],
-    df_convention: str,
     theta,
-    min_chisq_config: OptimizerConfig,
+    seed: int,
 ) -> tuple[np.ndarray, ContingencyTable, dict[str, TestReport]]:
     """Estimate, bin, tabulate and test one dataset.
 
     The single implementation behind `condgof test` and run_replication.
     estimator is "known" (theta is used as given), "raw_mle" (closed-form
     Gaussian MLE, otherwise mle_numeric from zero) or "min_chisq" (the raw
-    MLE refined by min_chisq_estimate under min_chisq_config). Responses
-    below the model's support raise OutOfSupportError before anything is
-    estimated. Covariate cells are located once and shared by the table and
-    the raw-MLE Wald. Returns (theta, table, reports by statistic name).
+    MLE refined by min_chisq_estimate under OptimizerConfig(restarts=2,
+    seed=seed, max_iterations=200)). Responses below the model's support
+    raise OutOfSupportError before anything is estimated. Covariate cells are
+    located once and shared by the table and the raw-MLE Wald. Returns
+    (theta, table, reports by statistic name).
     """
     below = np.flatnonzero(data.y < model.support_lower)
     if below.size:
@@ -267,16 +268,14 @@ def run_pipeline(
                 OptimizerConfig(max_iterations=500, tolerance=1e-6),
             )
     if estimator == "min_chisq":
-        theta = min_chisq_estimate(model, data, grid, partition, theta, min_chisq_config)
+        budget = OptimizerConfig(restarts=2, seed=seed, max_iterations=200)
+        theta = min_chisq_estimate(model, data, grid, partition, theta, budget)
 
     bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
     table = tabulate_cells(bins, cells, grid, partition.J)
 
     wald_in = WaldInputs(model=model, theta_hat=theta, data=data, cells=cells)
-    reports = {
-        name: run_test(name, table, estimator, model.param_dim, df_convention, wald_in)
-        for name in stats
-    }
+    reports = {name: run_test(name, table, estimator, model.param_dim, wald_in) for name in stats}
     return theta, table, reports
 
 
@@ -295,9 +294,8 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
             balanced_grid(cfg.L),
             cfg.estimator,
             cfg.stats,
-            cfg.df_convention,
             cfg.theta,
-            OptimizerConfig(restarts=2, seed=est_seed, max_iterations=200),
+            est_seed,
         )
     except CondgofError as exc:
         outcome.reports = {}
@@ -420,12 +418,12 @@ def run_experiment(cfg: SimConfig) -> SimResult:
 
 
 def calibrate_df(cfg: SimConfig) -> dict:
-    """Null-distribution diagnostic: statistic means against both df books.
+    """Null-distribution diagnostic: statistic means against policy_df.
 
     Runs the experiment and reports, per statistic, the Monte Carlo mean and
-    its standard error next to policy_df under each df convention for the
-    configured estimator, plus the mean reported point df when the
-    statistic carries one (the raw-MLE Wald's covariance rank).
+    its standard error next to policy_df for the configured estimator, plus
+    the mean reported point df when the statistic carries one (the raw-MLE
+    Wald's covariance rank).
     """
     res = run_experiment(cfg)
     p = resolve_model(cfg.model, cfg.dgp.k).param_dim
@@ -438,7 +436,7 @@ def calibrate_df(cfg: SimConfig) -> dict:
         out[name] = {
             "mean": summ.mean,
             "se": se,
-            **{f"df_{c}": policy_df(cfg.estimator, c, cfg.L, J, p) for c in DF_CONVENTIONS},
+            "df": policy_df(cfg.estimator, cfg.L, J, p),
             "mean_reported_df": summ.mean_df,
             "replications": n_eff,
         }

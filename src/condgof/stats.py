@@ -13,17 +13,16 @@ Woodbury around the diagonal generalized inverse diag(1/p0) of S_base, so
 no LJ x LJ matrix is built.
 
 A run is named by plain strings, each list spelled once here: the
-statistic (STATISTICS), how theta was obtained (ESTIMATORS) and the df
-convention (DF_CONVENTIONS). policy_df is the one df rule: the conditional
-convention J*(L-1), motivated by the columns being independent multinomials
-given the covariate cell counts, or the unconditional JL - 1, less the
-model's p parameters unless theta is known. Estimating p parameters from the
-raw data leaves Pearson and the likelihood ratio with a distribution pinned
-only between chi-square laws with that df and p more, so under raw_mle
-run_test reports a df interval and a p-value interval; "wald" there is the
-form built at the raw-data MLE, which repairs its own covariance and gets a
-point df equal to the numerical rank of that covariance, whatever p is.
-Elsewhere "wald" is the null form and reports as "wald_null".
+statistic (STATISTICS) and how theta was obtained (ESTIMATORS). policy_df is
+the one df rule: J*(L-1), since the columns are independent multinomials
+given the covariate cell counts, less the model's p parameters unless theta
+is known. Estimating p parameters from the raw data leaves a statistic of
+the table with a distribution pinned only between chi-square laws with that
+df and p more, so under raw_mle run_test reports a df interval and a p-value
+interval for every statistic but "wald", which there is the form built at
+the raw-data MLE: it repairs its own covariance and gets a point df equal to
+the numerical rank of that covariance, whatever p is. Elsewhere "wald" is
+the null form and reports as "wald_null".
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ _NEG_RTOL = 1e-8
 
 STATISTICS = ("pearson", "lr", "lm", "neyman", "wald")
 ESTIMATORS = ("known", "raw_mle", "min_chisq")
-DF_CONVENTIONS = ("conditional", "unconditional")
 
 
 def require_name(what: str, name, names: tuple[str, ...]) -> None:
@@ -59,11 +57,10 @@ def require_name(what: str, name, names: tuple[str, ...]) -> None:
         raise InvalidArgumentError(f"unknown {what} {name!r}; known: {', '.join(names)}")
 
 
-def policy_df(estimator: str, df_convention: str, L: int, J: int, p: int) -> int:
-    """J(L-1) (conditional) or JL-1 (unconditional), less p unless theta is known."""
+def policy_df(estimator: str, L: int, J: int, p: int) -> int:
+    """J(L-1), less p unless theta is known."""
     require_name("estimator", estimator, ESTIMATORS)
-    require_name("df convention", df_convention, DF_CONVENTIONS)
-    base = J * (L - 1) if df_convention == "conditional" else J * L - 1
+    base = J * (L - 1)
     return base if estimator == "known" else base - p
 
 
@@ -285,21 +282,20 @@ def run_test(
     table: ContingencyTable,
     estimator: str = "known",
     p: int = 0,
-    df_convention: str = "conditional",
     wald_inputs: WaldInputs | None = None,
 ) -> TestReport:
     """Compute one statistic of STATISTICS and calibrate it.
 
-    p is the model's parameter count and df = policy_df(estimator,
-    df_convention, L, J, p). known and min_chisq give every statistic the
-    point df; raw_mle gives pearson/lr the df interval [df, df + p] with the
-    matching p-value interval, wald its raw-MLE form (from wald_inputs) with
-    a point df equal to its covariance rank, and lm/neyman the point df with
-    a warning. Under known and min_chisq, wald is the null form, Pearson.
+    p is the model's parameter count and df = policy_df(estimator, L, J, p).
+    known and min_chisq give every statistic the point df; raw_mle gives
+    wald its raw-MLE form (from wald_inputs) with a point df equal to its
+    covariance rank, and every other statistic the df interval [df, df + p]
+    with the matching p-value interval. Under known and min_chisq, wald is
+    the null form, Pearson.
     """
     require_name("statistic", stat, STATISTICS)
     p = as_integer("p", p, 0)
-    df = policy_df(estimator, df_convention, table.L, table.J, p)
+    df = policy_df(estimator, table.L, table.J, p)
     warnings: list[str] = []
 
     if stat == "wald" and estimator == "raw_mle":
@@ -319,7 +315,7 @@ def run_test(
     else:
         value = pearson_stat(table)  # LM and the null Wald n d' S+ d equal it exactly
 
-    if estimator == "raw_mle" and stat in ("pearson", "lr"):
+    if estimator == "raw_mle":
         df_hi = df + p
         if value <= 1e-12 and df_hi < 1:
             return _point_report(kind, value, estimator, df_hi, warnings)
@@ -334,9 +330,5 @@ def run_test(
             df_interval=(df, df_hi),
             p_interval=(backend.chisq_sf(value, df), backend.chisq_sf(value, df_hi)),
             warnings=warnings,
-        )
-    if estimator == "raw_mle":
-        warnings.append(
-            "raw_mle calibration bracket applies; point df uses the adjusted policy value"
         )
     return _point_report(kind, value, estimator, df, warnings)

@@ -60,9 +60,9 @@ def balanced_grid(L: int) -> UGrid:
 class ContingencyTable:
     """Counts plus grid: observed counts O (L x J) binned on grid.
 
-    O holds integers or whole-valued floats (3.0); fractional, NaN,
-    infinite, boolean and string counts are rejected, as is a grid that is
-    not a UGrid.
+    O holds integers or whole-valued floats (3.0); ragged lists and
+    fractional, NaN, infinite, boolean and string counts are rejected, as
+    is a grid that is not a UGrid.
 
     The margins derive from O: column_counts N_j are its column sums, n its
     total and q_hat = N_j / n; widths are the grid's bin widths.
@@ -74,7 +74,10 @@ class ContingencyTable:
     def __post_init__(self):
         if not isinstance(self.grid, UGrid):
             raise InvalidArgumentError(f"grid must be a UGrid, got {type(self.grid).__name__}")
-        O = np.asarray(self.O)
+        try:
+            O = np.asarray(self.O)
+        except ValueError:  # a ragged nested list
+            raise InvalidArgumentError("O must be a 2-d count matrix, got a ragged list") from None
         if O.dtype.kind not in "iuf":
             raise InvalidArgumentError(f"counts must be whole numbers, got {O.dtype} values")
         if O.dtype.kind == "f":

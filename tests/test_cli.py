@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import condgof
-from condgof import Dataset, OptimizerConfig, balanced_grid, gessaman_partition, resolve_model
+from condgof import Dataset, balanced_grid, gessaman_partition, resolve_model
 from condgof.cli import _ESTIMATOR_FLAGS, _report_to_dict, main, read_csv_columns
 from condgof.mc import run_pipeline
 
@@ -260,9 +260,8 @@ class TestTestCommand:
             balanced_grid(4),
             _ESTIMATOR_FLAGS[flag],
             stats,
-            "conditional",
             None,
-            OptimizerConfig(restarts=2, seed=3),
+            3,
         )
         assert doc["config"]["theta"] == theta.tolist()
         assert doc["table"]["O"] == table.O.tolist()
@@ -384,6 +383,10 @@ class TestSimulateCommand:
             # misspelled keys: each is named, none is silently dropped
             ("level", [0.01], "config (unknown fields 'level')"),
             ("df_conventon", "unconditional", "config (unknown fields 'df_conventon')"),
+            ("df_convention", "conditional", "config (unknown fields 'df_convention')"),
+            # theta is read only under estimator "known"
+            ("estimator", "raw_mle", "theta is used only by estimator 'known', not 'raw_mle'"),
+            ("estimator", "min_chisq", "theta is used only by estimator 'known', not 'min_chisq'"),
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
                      "covariate_law": "uniform", "n": 200, "k": 2, "nn": 5},
              "dgp (unknown fields 'nn')"),
@@ -414,8 +417,13 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         assert "condgof" in capsys.readouterr().out
 
-    def test_unknown_flag_exit_2(self, gauss_csv):
-        assert main(["test", "--data", gauss_csv, "--bogus"]) == 2
+    @pytest.mark.parametrize("flag", [["--bogus"], ["--df-policy", "conditional"]])
+    def test_unknown_flag_exit_2(self, gauss_csv, tmp_path, capsys, flag):
+        code, out = _run_test_cmd(gauss_csv, tmp_path, *flag)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
+        _assert_one_line(err)
 
     def test_unknown_stat_exit_2(self, gauss_csv, capsys):
         code = main(
@@ -515,15 +523,18 @@ class TestExitCodes:
         _assert_one_line(err)
 
     @pytest.mark.parametrize(
-        "theta, message",
+        "estimator, theta, message",
         [
-            ("0,1,x,1", "--theta must be comma-separated numbers, got '0,1,x,1'"),
-            ("0,1,1,0", "invalid --theta"),
-            ("0,1,1,-1", "invalid --theta"),
+            ("known", "0,1,x,1", "--theta must be comma-separated numbers, got '0,1,x,1'"),
+            ("known", "0,1,1,0", "invalid --theta"),
+            ("known", "0,1,1,-1", "invalid --theta"),
+            # a theta the estimate would replace
+            ("raw", "0,1,1,1", "--theta is used only by --estimator known, not raw"),
+            ("grouped", "0,1,1,1", "--theta is used only by --estimator known, not grouped"),
         ],
     )
-    def test_invalid_theta_exit_2(self, gauss_csv, tmp_path, capsys, theta, message):
-        code, out = _run_test_cmd(gauss_csv, tmp_path, "--estimator", "known", f"--theta={theta}")
+    def test_invalid_theta_exit_2(self, gauss_csv, tmp_path, capsys, estimator, theta, message):
+        code, out = _run_test_cmd(gauss_csv, tmp_path, "--estimator", estimator, f"--theta={theta}")
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert message in err
@@ -774,3 +785,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing" in err
         _assert_one_line(err)
+
+
+def test_imports_load_no_test_extra():
+    # pyproject.toml declares numpy the only runtime dependency; the test extra must stay out
+    src = str(Path(condgof.__file__).resolve().parent.parent)
+    probe = (
+        "import sys, condgof, condgof.cli; "
+        "print(sorted({m.split('.')[0] for m in sys.modules}"
+        " & {'scipy', 'mpmath', 'hypothesis', 'pytest'}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr

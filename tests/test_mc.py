@@ -90,8 +90,10 @@ class TestConfigValidation:
             _known_cfg(replications=0)
         with pytest.raises(InvalidArgumentError):
             _known_cfg(L=0)
-        with pytest.raises(InvalidArgumentError):
-            _known_cfg(df_convention="fisher")
+        for estimator in ("raw_mle", "min_chisq"):
+            message = f"^theta is used only by estimator 'known', not '{estimator}'$"
+            with pytest.raises(InvalidArgumentError, match=message):
+                _known_cfg(estimator=estimator)
         with pytest.raises(InvalidArgumentError):
             _known_cfg(theta=None)  # known estimator needs theta
         with pytest.raises(InvalidArgumentError, match="unknown model family"):
@@ -353,13 +355,13 @@ class TestKsDistance:
 
 
 class TestCalibrateDf:
-    def test_known_theta_mean_tracks_conditional_df(self):
+    def test_known_theta_mean_tracks_policy_df(self):
         cfg = _known_cfg(replications=300, stats=("pearson", "lr"), master_seed=21)
         out = calibrate_df(cfg)
         for name in ("pearson", "lr"):
             row = out[name]
-            assert row["df_conditional"] == 12
-            assert row["df_unconditional"] == 15
+            assert list(row) == ["mean", "se", "df", "mean_reported_df", "replications"]
+            assert row["df"] == 12
             assert row["mean_reported_df"] == pytest.approx(12.0)
             assert abs(row["mean"] - 12.0) <= 3.0 * row["se"]
 
@@ -375,7 +377,7 @@ class TestCalibrateDf:
         )
         raw = calibrate_df(SimConfig(estimator="raw_mle", **common))
         grouped = calibrate_df(SimConfig(estimator="min_chisq", **common))
-        assert grouped["pearson"]["df_conditional"] == 8
+        assert grouped["pearson"]["df"] == 8
         assert grouped["pearson"]["mean"] < raw["pearson"]["mean"]
 
 

@@ -1,5 +1,6 @@
 """Table statistics, their algebraic identities, and p-value calibration."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -158,12 +159,12 @@ class TestChisqSfReexport:
 
 
 class TestDfPolicy:
-    def test_conventions(self):
-        assert policy_df("known", "conditional", 4, 5, 4) == 15
-        assert policy_df("raw_mle", "conditional", 4, 5, 4) == 11
-        assert policy_df("min_chisq", "conditional", 4, 5, 4) == 11
-        assert policy_df("known", "unconditional", 4, 5, 4) == 19
-        assert policy_df("min_chisq", "unconditional", 4, 5, 4) == 15
+    def test_conditional_df_less_estimated_parameters(self):
+        assert policy_df("known", 4, 5, 4) == 15
+        assert policy_df("raw_mle", 4, 5, 4) == 11
+        assert policy_df("min_chisq", 4, 5, 4) == 11
+        with pytest.raises(InvalidArgumentError):
+            policy_df("raw", 4, 5, 4)
 
     def test_negative_adjust_rejected(self):
         t = _table([[6, 4], [4, 6]])
@@ -255,15 +256,17 @@ class TestRunTest:
         with pytest.raises(InvalidArgumentError):
             run_test("pearson", t, "raw")
         with pytest.raises(InvalidArgumentError):
-            run_test("pearson", t, df_convention="both")
-        with pytest.raises(InvalidArgumentError):
             run_test("wald", t, "raw_mle", p=4)
 
-    def test_raw_mle_other_kind_warns(self):
+    def test_raw_mle_lm_and_neyman_bracketed(self):
         t = self._big_table()
-        rep = run_test("lm", t, "raw_mle", p=4)
-        assert rep.df == 11
-        assert any("bracket" in w for w in rep.warnings)
+        pearson = run_test("pearson", t, "raw_mle", p=4)
+        lm = run_test("lm", t, "raw_mle", p=4)
+        assert lm == dataclasses.replace(pearson, kind="lm")
+        neyman = run_test("neyman", t, "raw_mle", p=4)
+        assert neyman.df is None and neyman.p_value is None and neyman.warnings == []
+        assert neyman.df_interval == (11, 15)
+        assert neyman.p_interval == (chisq_sf(neyman.value, 11), chisq_sf(neyman.value, 15))
 
 
 class _NoMoments(GaussianLinearModel):

@@ -216,6 +216,8 @@ class TestContingencyTable:
             message = f"^counts must be whole numbers, got {re.escape(got)}$"
             with pytest.raises(InvalidArgumentError, match=message):
                 ContingencyTable(O=O, grid=grid)
+        with pytest.raises(InvalidArgumentError, match="^O must be a 2-d count matrix, got a "):
+            ContingencyTable(O=[[1, 2], [3]], grid=grid)
         for O in ([["3", "2"], ["1", "4"]], [[True, False], [True, True]]):
             with pytest.raises(InvalidArgumentError, match="^counts must be whole numbers, got "):
                 ContingencyTable(O=O, grid=grid)
