@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -49,6 +50,58 @@ _ESTIMATOR_FLAGS = {
 
 
 def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
+    """Columns y (n,) and x (n, len(x_cols)) of a numeric CSV, C-contiguous float64.
+
+    y is None when y_col is None. The header row is required and every data
+    value must be a finite decimal float. Two readers give the same arrays:
+    np.loadtxt parses the wanted columns in bulk, and _read_csv_strict parses
+    every cell with Python's float(). The bulk parse runs when the file
+    decodes as UTF-8, holds no quote character (csv quoting could move a
+    field across a comma or a line break that loadtxt splits on) and its
+    header names each wanted column once. The strict reader runs instead
+    when any of that fails, and when loadtxt raises, warns, finds no rows or
+    returns a value that is not finite. So every error message comes from
+    the strict reader, and values float() accepts but loadtxt does not (such
+    as "1_0" or full-width digits) parse as float() parses them.
+    """
+    wanted = list(dict.fromkeys(([y_col] if y_col else []) + list(x_cols)))
+    usecols = _bulk_columns(path, wanted)
+    if usecols is None:
+        return _read_csv_strict(path, y_col, x_cols)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=usecols, comments=None,
+                quotechar=None, ndmin=2, encoding="utf-8",
+            )
+    except (OSError, ValueError):
+        return _read_csv_strict(path, y_col, x_cols)
+    if caught or values.shape[0] == 0 or not np.isfinite(values).all():
+        return _read_csv_strict(path, y_col, x_cols)
+    y = np.ascontiguousarray(values[:, 0]) if y_col else None
+    x = np.ascontiguousarray(values[:, [wanted.index(c) for c in x_cols]]) if x_cols else None
+    return y, x
+
+
+def _bulk_columns(path: str, wanted: list[str]) -> list[int] | None:
+    """Header positions of the wanted columns, or None when only the strict reader may run."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            first = fh.readline()
+            quoted = '"' in first or '"' in fh.read()
+    except (OSError, UnicodeDecodeError):
+        return None
+    if quoted or not wanted:
+        return None
+    # without quotes, csv's header row is the first physical line
+    header = [h.strip() for h in next(csv.reader([first]), [])]
+    if any(header.count(col) != 1 for col in wanted):
+        return None
+    return [header.index(col) for col in wanted]
+
+
+def _read_csv_strict(path: str, y_col: str | None, x_cols: list[str]):
     """Strict numeric CSV reader: header required, finite decimal floats only."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
@@ -194,6 +247,8 @@ def cmd_test(args) -> int:
     estimator = _ESTIMATOR_FLAGS[args.estimator]
     if args.theta is not None and estimator != "known":
         raise UsageError(f"--theta is used only by --estimator known, not {args.estimator}")
+    if args.theta is None and estimator == "known":
+        raise UsageError("estimator 'known' requires --theta")
     y, x = read_csv_columns(args.data, args.y, x_cols)
     data = Dataset(y=y, x=x)
     model = resolve_model(args.model, data.k)
@@ -211,8 +266,6 @@ def cmd_test(args) -> int:
 
     theta = None
     if estimator == "known":
-        if args.theta is None:
-            raise UsageError("estimator 'known' requires --theta")
         try:
             theta = model.validate_theta(_parse_theta(args.theta, model.param_dim))
         except InvalidParameterError as exc:

@@ -4,12 +4,15 @@ Three routes with different downstream calibration:
 
 - mle_gaussian_linear: closed form for the Gaussian linear family (least
   squares slopes, sigma = sqrt(RSS / n), the likelihood normalization).
-- mle_numeric: monotone gradient ascent with a backtracking line search for
-  any family exposing a score. Scale parameters move on the log scale so
-  positivity never needs an explicit constraint. The log-likelihood sequence
-  is nondecreasing by construction; exhausting the iteration budget before
-  the gradient tolerance is met raises ConvergenceFailureError carrying the
-  last iterate.
+- mle_numeric: Fisher scoring for any family exposing a score. The step
+  solves the model's expected information against the gradient, or the
+  BHHH outer product of the scores when the family has no closed-form
+  information, and halves until the likelihood rises (doubling or halving
+  on while that pays when the information misjudges the curvature). Scale
+  parameters move on the log scale so positivity never needs an explicit
+  constraint. The log-likelihood sequence is nondecreasing by construction;
+  exhausting the iteration budget before the gradient tolerance is met
+  raises ConvergenceFailureError carrying the last iterate.
 - min_chisq_estimate: minimizes the Pearson statistic of the cross-
   classified table over theta with a deterministic Nelder-Mead simplex plus
   seeded restarts. The objective is piecewise constant in theta (counts only
@@ -30,6 +33,7 @@ from .errors import (
     ConvergenceFailureError,
     DegenerateFitError,
     InvalidArgumentError,
+    InvalidParameterError,
     InvalidStartError,
     ModelEvaluationError,
     SingularDesignError,
@@ -100,13 +104,22 @@ def mle_numeric(
     init,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> np.ndarray:
-    """Maximum likelihood by monotone gradient ascent with backtracking.
+    """Maximum likelihood by Fisher scoring.
 
-    Works on the average log likelihood so the gradient tolerance does not
-    scale with n; stops when that gradient's infinity norm (in the internal
-    parametrization) drops to config.tolerance. Raises InvalidStartError
-    when the likelihood at init is not finite, ConvergenceFailureError when
-    the budget runs out or no uphill step exists.
+    Each iteration steps along info^-1 g in the internal parametrization,
+    where g is the gradient of the average log likelihood and info is
+    model.expected_information, or the BHHH outer product S'S/n of the
+    score rows S that g averages when the family has none; both carry the
+    log-scale Jacobian. The step starts at 1 and halves until the likelihood
+    rises, so the likelihood path is nondecreasing. When the rise is under
+    a quarter of the linear promise t g'info^-1 g the step keeps halving,
+    and when it is over three quarters the step doubles, each while the
+    likelihood keeps rising; near the optimum neither happens. Stops when
+    the gradient's infinity norm drops to config.tolerance, which does not
+    scale with n; config.max_iterations bounds the number of steps. Raises
+    InvalidStartError when the likelihood at init is not finite,
+    ConvergenceFailureError (carrying the last iterate) when the budget runs
+    out or no halved step raises the likelihood.
     """
     theta = model.validate_theta(init)
     log_idx = model.log_scale_indices()
@@ -114,46 +127,63 @@ def mle_numeric(
     def objective(th: np.ndarray) -> float:
         return log_likelihood(model, th, data) / data.n
 
-    def gradient(th: np.ndarray) -> np.ndarray:
-        g = model.score(data.y, data.x, th).mean(axis=0)
+    def gradient(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(g, S, jac): internal gradient, score rows and d theta / d phi."""
+        s = model.score(data.y, data.x, th)
+        g = s.mean(axis=0)
         if not np.isfinite(g).all():
             raise ModelEvaluationError("score produced non-finite values")
-        # chain rule for log-scale coordinates
-        for i in log_idx:
-            g[i] = g[i] * th[i]
-        return g
+        jac = np.ones_like(th)
+        jac[list(log_idx)] = th[list(log_idx)]
+        return g * jac, s, jac
+
+    def trial(phi_t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """(average log likelihood or -inf, phi, theta) at a candidate point."""
+        # a step too long for the family overflows; a shorter one recovers
+        with np.errstate(over="ignore", invalid="ignore"):
+            th = _from_internal(phi_t, log_idx)
+            try:
+                value = objective(th)
+            except (InvalidParameterError, ModelEvaluationError):
+                value = -np.inf
+        return (value if np.isfinite(value) else -np.inf), phi_t, th
 
     ll = objective(theta)
     if not np.isfinite(ll):
         raise InvalidStartError(f"log likelihood at init is {ll}")
 
     phi = _to_internal(theta, log_idx)
-    step = 1.0
     for _ in range(config.max_iterations):
-        g = gradient(theta)
+        g, s, jac = gradient(theta)
         if np.abs(g).max() <= config.tolerance:
             return theta
-        improved = False
-        t = step
-        while t > 1e-18:
-            cand_phi = phi + t * g
-            cand = _from_internal(cand_phi, log_idx)
-            try:
-                cand_ll = objective(cand)
-            except ModelEvaluationError:
-                cand_ll = -np.inf
-            if np.isfinite(cand_ll) and cand_ll > ll:
-                phi, theta, ll = cand_phi, cand, cand_ll
-                step = min(t * 2.0, 1e6)
-                improved = True
-                break
+        info = model.expected_information(data.x, theta)
+        if info is None:
+            info = s.T @ s / data.n  # BHHH
+        if not np.isfinite(info).all():
+            raise ModelEvaluationError("information produced non-finite values")
+        # least squares: a singular information still gives an ascent direction
+        d = np.linalg.lstsq(info * np.outer(jac, jac), g, rcond=None)[0]
+        t, best = 1.0, trial(phi + d)
+        while not best[0] > ll:
             t *= 0.5
-        if not improved:
-            raise ConvergenceFailureError(
-                "no uphill step found; gradient may be inconsistent with the likelihood",
-                theta=theta,
-            )
-    g = gradient(theta)
+            if t <= 1e-18:
+                raise ConvergenceFailureError(
+                    "no uphill step found; gradient may be inconsistent with the likelihood",
+                    theta=theta,
+                )
+            best = trial(phi + t * d)
+        # Far from the optimum the information can misjudge the curvature
+        # many times over. A rise under a quarter of what the slope promises
+        # marks an overshoot, one over three quarters a step too short:
+        # halve or double the step while the likelihood keeps rising.
+        rise, promise = best[0] - ll, t * (g @ d)
+        if not 0.25 * promise <= rise <= 0.75 * promise:
+            factor = 0.5 if rise < 0.25 * promise else 2.0
+            while (cand := trial(phi + factor * t * d))[0] > best[0]:
+                t, best = factor * t, cand
+        ll, phi, theta = best
+    g = gradient(theta)[0]
     if np.abs(g).max() <= config.tolerance:
         return theta
     raise ConvergenceFailureError(

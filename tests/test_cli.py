@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import condgof
-from condgof import Dataset, balanced_grid, gessaman_partition, resolve_model
+from condgof import DataError, Dataset, balanced_grid, cli, gessaman_partition, resolve_model
 from condgof.cli import _ESTIMATOR_FLAGS, _report_to_dict, main, read_csv_columns
 from condgof.mc import run_pipeline
 
@@ -506,6 +506,29 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_known_without_theta_exit_2_before_reading(self, tmp_path, capsys):
+        code = main(["test", "--data", str(tmp_path / "absent.csv"), "--y", "y", "--x", "x1",
+                     "--model", "gaussian_linear", "--estimator", "known"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "estimator 'known' requires --theta" in err
+        _assert_one_line(err)
+
+    def test_header_only_csv_leaks_no_warning(self, tmp_path):
+        # a real process with default warning filters: loadtxt's "input
+        # contained no data" warning must not reach stderr
+        src = str(Path(condgof.__file__).resolve().parent.parent)
+        path = tmp_path / "empty.csv"
+        path.write_text("y,x1\n\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "condgof.cli", "test", "--data", str(path), "--y", "y",
+             "--x", "x1", "--model", "gaussian_linear"],
+            env=dict(env, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"data error: {path}: no data rows\n"
+
     @pytest.mark.parametrize("command", ["test", "partition"])
     @pytest.mark.parametrize(
         "content, message", [("", "empty file, header row required"), ("y,x1\n\n", "no data rows")]
@@ -785,6 +808,84 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "missing" in err
         _assert_one_line(err)
+
+
+# (file bytes, y column, x columns) read by both CSV readers
+_CSV_CORPUS = {
+    "plain": (b"y,x1,x2\n1.5,2,3\n-0.25,1e-3,-0\n", "y", ["x1", "x2"]),
+    "seventeen_digits": (
+        ("y,x1\n" + "".join(f"{v:.17g},{-v / 3:.17g}\n" for v in np.linspace(-7, 11, 97)))
+        .encode(), "y", ["x1"],
+    ),
+    "quoted_numbers": (b'y,x1\n"1.5",2\n3,"4"\n', "y", ["x1"]),
+    "quoted_header": (b'"y","x1"\n1.5,2\n', "y", ["x1"]),
+    # csv keeps a quoted comma or line break inside one field; loadtxt would not
+    "quoted_comma_elsewhere": (b'y,note,x1\n1.0,"a,5.0,b",2.0\n', "y", ["x1"]),
+    "quoted_newline_elsewhere": (b'y,x1,note\n1.0,2.0,"a\n3.0,4.0"\n', "y", ["x1"]),
+    "padded": (b" y , x1 \n  1.5 ,\t2 \n3\t, 4\n", "y", ["x1"]),
+    "blank_lines": (b"y,x1\n\n1,2\n\n\n3,4\n\n", "y", ["x1"]),
+    "whitespace_line": (b"y,x1\n1,2\n   \n3,4\n", "y", ["x1"]),
+    "crlf": (b"y,x1\r\n1,2\r\n3,4\r\n", "y", ["x1"]),
+    "cr": (b"y,x1\r1,2\r3,4\r", "y", ["x1"]),
+    "bom_on_wanted": ("\ufeffy,x1\n1,2\n".encode(), "y", ["x1"]),
+    "bom_on_other": ("\ufeffid,y,x1\n0,1,2\n".encode(), "y", ["x1"]),
+    "underscore": (b"y,x1\n1_0,2\n", "y", ["x1"]),
+    "full_width": ("y,x1\n１.５,２\n".encode(), "y", ["x1"]),
+    "overflow": (b"y,x1\n1,2\n1e400,3\n", "y", ["x1"]),
+    "nan": (b"y,x1\n1,nan\n", "y", ["x1"]),
+    "inf": (b"y,x1\n1,2\n-inf,3\n", "y", ["x1"]),
+    "one_row": (b"y,x1\n1.25,2", "y", ["x1"]),
+    "ragged_short": (b"y,x1\n1,2\n3\n", "y", ["x1"]),
+    "extra_columns": (b"y,x1\n1,2,9,9\n3,4,\n", "y", ["x1"]),
+    "column_order": (b"x2,y,x1\n1,2,3\n4,5,6\n", "y", ["x1", "x2"]),
+    "y_also_x": (b"y,x1\n1,2\n3,4\n", "y", ["x1", "y"]),
+    "no_y": (b"a,x1,x2\n1,2,3\n", None, ["x2", "x1"]),
+    "non_utf8_row": (b"y,x1\n1,2\n\xff,3\n", "y", ["x1"]),
+    "not_numeric": (b"y,x1\n1,2\n3,oops\n", "y", ["x1"]),
+    "comment_mark": (b"y,x1\n1,2 # note\n", "y", ["x1"]),
+    "header_only": (b"y,x1\n\n", "y", ["x1"]),
+    "empty": (b"", "y", ["x1"]),
+    "missing_column": (b"y,x2\n1,2\n", "y", ["x1"]),
+    "repeated_header": (b"y,x1,x1\n1,2,3\n", "y", ["x1"]),
+}
+
+
+class TestCsvReaders:
+    @pytest.mark.parametrize("case", sorted(_CSV_CORPUS))
+    def test_bulk_and_strict_readers_agree(self, tmp_path, case):
+        content, y_col, x_cols = _CSV_CORPUS[case]
+        path = tmp_path / f"{case}.csv"
+        path.write_bytes(content)
+
+        def read(reader):
+            try:
+                return reader(str(path), y_col, x_cols)
+            except DataError as exc:
+                return str(exc)
+
+        strict, bulk = read(cli._read_csv_strict), read(read_csv_columns)
+        if isinstance(strict, str):
+            assert bulk == strict
+            return
+        for s_arr, b_arr in zip(strict, bulk):
+            if s_arr is None:
+                assert b_arr is None
+                continue
+            assert b_arr.dtype == np.float64 and b_arr.flags.c_contiguous
+            assert b_arr.shape == s_arr.shape and b_arr.tobytes() == s_arr.tobytes()
+
+    def test_plain_file_takes_the_bulk_path(self, tmp_path, monkeypatch):
+        content, y_col, x_cols = _CSV_CORPUS["seventeen_digits"]
+        path = tmp_path / "plain.csv"
+        path.write_bytes(content)
+        expected = cli._read_csv_strict(str(path), y_col, x_cols)
+
+        def no_strict(*args):
+            raise AssertionError("strict reader ran on a plain file")
+
+        monkeypatch.setattr(cli, "_read_csv_strict", no_strict)
+        y, x = read_csv_columns(str(path), y_col, x_cols)
+        assert y.tobytes() == expected[0].tobytes() and x.tobytes() == expected[1].tobytes()
 
 
 def test_imports_load_no_test_extra():

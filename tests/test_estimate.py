@@ -1,4 +1,4 @@
-"""Estimators: closed form, gradient ascent, and table-statistic minimization."""
+"""Estimators: closed form, Fisher scoring, and table-statistic minimization."""
 
 import numpy as np
 import pytest
@@ -164,6 +164,78 @@ class LocationModel(ConditionalModel):
 
     def score(self, y, x, theta):
         return (np.asarray(y) - theta[0])[:, None]
+
+
+class TestFisherScoring:
+    def test_exponential_matches_bfgs_oracle(self):
+        from scipy.optimize import minimize
+
+        class CountingExponential(ExponentialRegressionModel):
+            score_calls = 0
+
+            def score(self, y, x, theta):
+                CountingExponential.score_calls += 1
+                return super().score(y, x, theta)
+
+        rng = np.random.Generator(np.random.Philox(17))
+        n = 4000
+        x = rng.uniform(-1, 1, (n, 2))
+        design = np.hstack([np.ones((n, 1)), x])
+        y = rng.exponential(1.0 / np.exp(design @ np.array([0.3, -0.8, 0.5])))
+        est = mle_numeric(CountingExponential(k=2), Dataset(y=y, x=x), np.zeros(3))
+        assert CountingExponential.score_calls <= 10
+
+        def neg_mean_ll(b):
+            return -(design @ b - np.exp(design @ b) * y).mean()
+
+        def neg_score(b):
+            return -(design * (1.0 - np.exp(design @ b) * y)[:, None]).mean(axis=0)
+
+        oracle = minimize(neg_mean_ll, np.zeros(3), jac=neg_score, method="BFGS",
+                          options={"gtol": 1e-11}).x
+        assert np.abs(neg_score(oracle)).max() <= 1e-10
+        np.testing.assert_allclose(est, oracle, rtol=0, atol=1e-6)
+
+    def test_bhhh_without_expected_information(self):
+        # LocationModel has no expected information: the outer product of scores steers
+        rng = np.random.Generator(np.random.Philox(18))
+        y = 0.7 + rng.standard_normal(500)
+        data = Dataset(y=y, x=rng.uniform(-1, 1, 500))
+        model = LocationModel(k=1)
+        assert model.expected_information(data.x, np.array([0.0])) is None
+        est = mle_numeric(model, data, np.array([-3.0]))
+        assert est[0] == pytest.approx(y.mean(), abs=1e-8)
+
+    @pytest.mark.parametrize("sigma", [0.05, 20.0])
+    def test_bhhh_with_log_scale(self, sigma):
+        # the log-scale Jacobian carries sigma^2 into the outer product's scale entry
+        data = _gaussian_data(19, 800, sigma=sigma)
+        est = mle_numeric(_OuterProduct(k=data.k), data, np.array([0.0, 0.0, 1.0]),
+                          OptimizerConfig(tolerance=1e-6))
+        np.testing.assert_allclose(est, mle_gaussian_linear(data), rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+    def test_response_scale_far_from_start(self, scale):
+        # y * c moves the intercept of the MLE by -log(c), the slopes not at all;
+        # from zero the expected information misjudges the curvature by ~c
+        rng = np.random.Generator(np.random.Philox(21))
+        x = rng.uniform(-1, 1, (2000, 2))
+        y = rng.exponential(1.0 / np.exp(0.2 + x @ np.array([0.5, -0.5])))
+        model = ExponentialRegressionModel(k=2)
+        unit = mle_numeric(model, Dataset(y=y, x=x), np.zeros(3))
+        est = mle_numeric(model, Dataset(y=y * scale, x=x), np.zeros(3))
+        np.testing.assert_allclose(est, unit - [np.log(scale), 0.0, 0.0], rtol=0, atol=1e-6)
+
+    def test_overlong_step_is_halved(self):
+        # an outlying response at a tiny covariate spread sends the first full
+        # step's rate far past overflow; halving brings it back without warnings
+        rng = np.random.Generator(np.random.Philox(20))
+        y = rng.exponential(1.0, 20)
+        y[0] = 1e6
+        data = Dataset(y=y, x=rng.uniform(-1e-3, 1e-3, 20))
+        model = ExponentialRegressionModel(k=1)
+        est = mle_numeric(model, data, np.zeros(2), OptimizerConfig(tolerance=1e-6))
+        assert np.abs(model.score(data.y, data.x, est).mean(axis=0)).max() <= 1e-6
 
 
 class TestMinChisq:
