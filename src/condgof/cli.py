@@ -146,6 +146,8 @@ def _read_csv_strict(path: str, y_col: str | None, x_cols: list[str]):
         raise DataError(f"cannot open {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:  # such as a field over csv's size limit
+        raise DataError(f"{path}: malformed CSV: {exc}") from None
     y = np.asarray(rows[y_col]) if y_col else None
     x = np.column_stack([rows[c] for c in x_cols]) if x_cols else None
     return y, x

@@ -119,7 +119,10 @@ def mle_numeric(
     scale with n; config.max_iterations bounds the number of steps. Raises
     InvalidStartError when the likelihood at init is not finite,
     ConvergenceFailureError (carrying the last iterate) when the budget runs
-    out or no halved step raises the likelihood.
+    out or no halved step raises the likelihood. The one exception is a full
+    step whose promised rise g'info^-1 g is within 16 ulp of the average log
+    likelihood: no step can show a rise there, so theta is returned as the
+    optimum.
     """
     theta = model.validate_theta(init)
     log_idx = model.log_scale_indices()
@@ -168,6 +171,8 @@ def mle_numeric(
         while not best[0] > ll:
             t *= 0.5
             if t <= 1e-18:
+                if g @ d <= 16 * np.finfo(float).eps * max(1.0, abs(ll)):
+                    return theta  # no step can rise above the rounding of ll
                 raise ConvergenceFailureError(
                     "no uphill step found; gradient may be inconsistent with the likelihood",
                     theta=theta,

@@ -26,13 +26,15 @@ constructions are provided, each producing cells that tile R^k exactly:
   the Monte Carlo engine is one).
 
 The data-dependent rules use the same split primitive: group sizes are
-ceil(m/T) for the first m mod T groups and floor(m/T) for the rest, ties in
-coordinate values are broken by original row order, and each threshold is
-placed at the value of the last point of its left group, so a value equal
-to a threshold belongs to the left cell. Duplicate values straddling a
-nominal cut are pushed left as a block; if that exhausts the points before
-T strictly increasing thresholds exist, the split is impossible and
-InsufficientDataError is raised.
+ceil(m/T) for the first m mod T groups and floor(m/T) for the rest, and
+each threshold is placed at the value of the last point of its left group,
+so a value equal to a threshold belongs to the left cell. Duplicate values
+straddling a nominal cut are pushed left as a block; if that exhausts the
+points before T strictly increasing thresholds exist, the split is
+impossible and InsufficientDataError is raised. Ties in coordinate values
+keep the cell's row order: original row order at the root, below it the
+order its ancestors' sorts left. That order decides only the sign of a zero
+threshold, where -0.0 and 0.0 tie at a cut.
 
 A partition document holds cells (each only lower and upper), origin, seed,
 T and r, and partition_from_dict rejects any other key; seed, T and r are
@@ -161,8 +163,8 @@ def _split_cuts(sorted_vals: np.ndarray, T: int) -> list[int]:
         pos += sizes[g]
         if cuts:
             pos = max(pos, cuts[-1] + 1)
-        while pos < m and sorted_vals[pos] == sorted_vals[pos - 1]:
-            pos += 1
+        if pos < m and sorted_vals[pos] == sorted_vals[pos - 1]:
+            pos = int(sorted_vals.searchsorted(sorted_vals[pos], side="right"))
         if pos >= m:
             raise InsufficientDataError(
                 f"duplicate coordinate values leave fewer than {T} distinct groups"
@@ -171,11 +173,28 @@ def _split_cuts(sorted_vals: np.ndarray, T: int) -> list[int]:
     return cuts
 
 
-def _split_node(rows, lo, up, pts: np.ndarray, axis: int, T: int) -> list:
-    """Split the cell (rows, lo, up) along axis into T (rows, lower, upper) children."""
-    coord = pts[rows, axis]
-    order = np.argsort(coord, kind="stable")  # stable: ties keep row order
-    sorted_vals = coord[order]
+def _stable_argsort(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, vals[order]) for np.argsort(vals, kind="stable").
+
+    With no two values equal every sorting permutation is the stable one, so
+    numpy's faster default sort serves; any tie, -0.0 against 0.0 included,
+    takes the stable sort.
+    """
+    order = np.argsort(vals)
+    sorted_vals = vals.take(order)
+    if (sorted_vals[1:] == sorted_vals[:-1]).any():
+        order = np.argsort(vals, kind="stable")
+        sorted_vals = vals.take(order)
+    return order, sorted_vals
+
+
+def _split_node(rows, lo, up, cols: np.ndarray, axis: int, T: int) -> list:
+    """Split the cell (rows, lo, up) along axis into T (rows, lower, upper) children.
+
+    cols is the points in column-major order, (k, n): cols[axis] is one
+    contiguous coordinate.
+    """
+    order, sorted_vals = _stable_argsort(cols[axis].take(rows))
     cuts = _split_cuts(sorted_vals, T)
     edges = [lo[axis]] + [float(sorted_vals[c - 1]) for c in cuts] + [up[axis]]
     if any(edges[i] >= edges[i + 1] for i in range(T)):
@@ -211,9 +230,10 @@ def gessaman_partition(x, T: int) -> Partition:
     n, k = pts.shape
     if n < T**k:
         raise InsufficientDataError(f"need at least T^k = {T**k} points, got {n}")
+    cols = np.ascontiguousarray(pts.T)
     slabs = [_whole_space(n, k)]
     for d in range(k):
-        slabs = [child for slab in slabs for child in _split_node(*slab, pts, d, T)]
+        slabs = [child for slab in slabs for child in _split_node(*slab, cols, d, T)]
     return _boxes_partition(slabs, origin="gessaman", T=T)
 
 
@@ -238,12 +258,12 @@ def marginal_grid_partition(x, T: int) -> Partition:
     data with an unknown covariate law.
     """
     pts = _builder_input(x, T=T)
-    n, k = pts.shape
+    n = pts.shape[0]
     if n < T:
         raise InsufficientDataError(f"need at least T = {T} points, got {n}")
     edges_per_axis = []
-    for d in range(k):
-        vals = np.sort(pts[:, d], kind="stable")
+    for col in np.ascontiguousarray(pts.T):
+        vals = _stable_argsort(col)[1]
         cuts = _split_cuts(vals, T)
         edges_per_axis.append([-np.inf] + [float(vals[c - 1]) for c in cuts] + [np.inf])
     return product_partition(edges_per_axis)
@@ -285,16 +305,21 @@ def rtp_partition(
         raise InsufficientDataError(f"need n >= J = {J} points, got {n}")
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cols = np.ascontiguousarray(pts.T)
     terminals = [_whole_space(n, k)]  # (rows, lower, upper) in creation order
+    sizes = [n]  # point count of each terminal
     split_axes = np.empty(n_splits, dtype=np.int64)
     for s in range(n_splits):
         # most points first; ties go to the earliest-created terminal
-        i = max(range(len(terminals)), key=lambda t: terminals[t][0].shape[0])
+        i = sizes.index(max(sizes))
         u = int(rng.integers(int(counts.sum())))
         axis = int(np.searchsorted(np.cumsum(counts), u, side="right"))
         counts[axis] -= 1
         split_axes[s] = axis
-        terminals.extend(_split_node(*terminals.pop(i), pts, axis, T))
+        children = _split_node(*terminals.pop(i), cols, axis, T)
+        sizes.pop(i)
+        terminals.extend(children)
+        sizes.extend(child[0].shape[0] for child in children)
     part = _boxes_partition(terminals, origin="rtp", seed=seed, T=T, r=r)
     return part, split_axes
 

@@ -622,6 +622,18 @@ class TestExitCodes:
         assert code == 3
         assert "row 1" in capsys.readouterr().err
 
+    def test_oversized_quoted_field_exit_3(self, tmp_path, capsys):
+        # csv refuses a field over its 131,072-character limit
+        path = tmp_path / "huge.csv"
+        path.write_text(f'y,x1\n1.0,0.5\n"{"1" * 140_000}",0.2\n')
+        code = main(
+            ["test", "--data", str(path), "--y", "y", "--x", "x1", "--model", "gaussian_linear"]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "huge.csv: malformed CSV: field larger than field limit" in err
+        _assert_one_line(err)
+
     def test_computation_failure_exit_4(self, tmp_path, capsys):
         # 6 rows cannot fill a 16-cell equal-count partition
         rng = np.random.Generator(np.random.Philox(1))

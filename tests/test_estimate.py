@@ -214,6 +214,25 @@ class TestFisherScoring:
                           OptimizerConfig(tolerance=1e-6))
         np.testing.assert_allclose(est, mle_gaussian_linear(data), rtol=1e-5, atol=1e-7)
 
+    @pytest.mark.parametrize("sigma", [0.05, 20.0])
+    def test_rise_below_rounding_is_converged(self, sigma):
+        # at the default tolerance the last steps promise a rise under the
+        # rounding of the average log likelihood, so no halving shows one
+        data = _gaussian_data(19, 800, sigma=sigma)
+        est = mle_numeric(_OuterProduct(k=data.k), data, np.array([0.0, 0.0, 1.0]))
+        np.testing.assert_allclose(est, mle_gaussian_linear(data), rtol=1e-7, atol=1e-9)
+
+    def test_inconsistent_gradient_still_fails(self):
+        # a score of the wrong sign promises a rise far above rounding
+        class Backwards(LocationModel):
+            def score(self, y, x, theta):
+                return -super().score(y, x, theta)
+
+        rng = np.random.Generator(np.random.Philox(22))
+        data = Dataset(y=0.7 + rng.standard_normal(200), x=rng.uniform(-1, 1, 200))
+        with pytest.raises(ConvergenceFailureError, match="no uphill step found"):
+            mle_numeric(Backwards(k=1), data, np.array([-3.0]))
+
     @pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
     def test_response_scale_far_from_start(self, scale):
         # y * c moves the intercept of the MLE by -log(c), the slopes not at all;

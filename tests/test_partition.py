@@ -502,3 +502,120 @@ class TestPinnedDocuments:
             for name, part in _pinned_cases()
         }
         assert got == self.DIGESTS
+
+
+def _stable_split_cuts(sorted_vals, T):
+    """The cut rule walking each run of duplicates one element at a time."""
+    m = sorted_vals.shape[0]
+    if m < T:
+        raise InsufficientDataError(f"cannot split {m} points into {T} nonempty groups")
+    base, extra = divmod(m, T)
+    sizes = [base + 1] * extra + [base] * (T - extra)
+    cuts = []
+    pos = 0
+    for g in range(T - 1):
+        pos += sizes[g]
+        if cuts:
+            pos = max(pos, cuts[-1] + 1)
+        while pos < m and sorted_vals[pos] == sorted_vals[pos - 1]:
+            pos += 1
+        if pos >= m:
+            raise InsufficientDataError(
+                f"duplicate coordinate values leave fewer than {T} distinct groups"
+            )
+        cuts.append(pos)
+    return cuts
+
+
+def _stable_split_node(rows, lo, up, cols, axis, T):
+    """The split primitive with one stable argsort per split, as the reference."""
+    pts = cols.T
+    coord = pts[rows, axis]
+    order = np.argsort(coord, kind="stable")  # stable: ties keep row order
+    sorted_vals = coord[order]
+    cuts = _stable_split_cuts(sorted_vals, T)
+    edges = [lo[axis]] + [float(sorted_vals[c - 1]) for c in cuts] + [up[axis]]
+    if any(edges[i] >= edges[i + 1] for i in range(T)):
+        raise InsufficientDataError(
+            "split thresholds are not strictly inside the cell bounds"
+        )
+    stops = [0] + cuts + [rows.shape[0]]
+    out = []
+    for g in range(T):
+        nlo = lo.copy()
+        nup = up.copy()
+        nlo[axis] = edges[g]
+        nup[axis] = edges[g + 1]
+        out.append((rows[order[stops[g] : stops[g + 1]]], nlo, nup))
+    return out
+
+
+def _stable_only():
+    """Patch condgof.partition back to stable sorts and the element-wise cut walk."""
+    return mock.patch.multiple(
+        "condgof.partition",
+        _split_node=_stable_split_node,
+        _split_cuts=_stable_split_cuts,
+        _stable_argsort=lambda vals: (vals.argsort(kind="stable"), np.sort(vals, kind="stable")),
+    )
+
+
+def _oracle_config(seed):
+    """One seeded build as a callable; a third of them heavy with duplicates."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    kind = ("rtp", "rtp_equal_depth", "gessaman", "grid")[seed % 4]
+    k, T, r = int(rng.integers(1, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
+    least = T**k if kind == "gessaman" else 1 + k * r * (T - 1)
+    # some configs fall a few points short, so failures are compared too
+    n = int(rng.integers(max(least - 3, 2), max(2 * least, 60) + 200))
+    x = rng.uniform(-1.0, 1.0, (n, k))
+    mode = seed % 3
+    if mode == 1:  # heavy duplicates, zeros of both signs among them
+        x = np.round(x * rng.integers(1, 4))
+    if mode == 2:  # a few signed zeros in otherwise distinct values
+        x[rng.uniform(size=x.shape) < 0.05] = 0.0
+    x[x == 0.0] = np.where(rng.uniform(size=int((x == 0.0).sum())) < 0.5, -0.0, 0.0)
+    builders = {
+        "rtp": lambda: rtp_partition(x, T, r, seed),
+        "rtp_equal_depth": lambda: rtp_partition(x, T, r, seed, equal_depth=True),
+        "gessaman": lambda: (gessaman_partition(x, T), None),
+        "grid": lambda: (marginal_grid_partition(x, T), None),
+    }
+    return builders[kind]
+
+
+def _outcome(build):
+    """(document, split_axes) of a build, or the exception type and message it raised."""
+    try:
+        part, axes = build()
+    except InsufficientDataError as exc:
+        return type(exc), str(exc)
+    return partition_to_json(part), None if axes is None else axes.tolist()
+
+
+class TestSplitOracle:
+    """The split primitive's fast sort against one stable argsort per split."""
+
+    def test_matches_stable_reference(self):
+        failures = 0
+        for seed in range(320):
+            build = _oracle_config(seed)
+            got = _outcome(build)
+            with _stable_only():
+                want = _outcome(build)
+            assert got == want, f"config seed {seed}"
+            failures += got[0] is InsufficientDataError
+        assert 0 < failures < 160  # both outcomes are exercised
+
+    def test_zero_threshold_sign_follows_cell_row_order(self):
+        # each slab's axis-1 cut lands in a run of signed zeros: the threshold
+        # takes the sign of the run's last zero in the slab's row order, which
+        # the axis-0 sort left; original row order would give another document
+        rng = np.random.Generator(np.random.Philox(24))
+        x = rng.uniform(-1.0, 1.0, (64, 2))
+        zero = np.abs(x[:, 1]) < 0.4
+        x[zero, 1] = np.where(rng.uniform(size=int(zero.sum())) < 0.5, -0.0, 0.0)
+        part = gessaman_partition(x, 2)
+        assert [str(v) for v in part.upper[[0, 2], 1]] == ["0.0", "-0.0"]
+        digest = hashlib.sha256(partition_to_json(part).encode()).hexdigest()
+        assert digest == "35adffd2d7fc3b29b2aacad3f0660617538801e5556437215dd8d750f906fd4c"
