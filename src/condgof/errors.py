@@ -7,6 +7,8 @@ UsageError to exit code 2, DataError to 3, and everything else to 4.
 
 import numbers
 
+import numpy as np
+
 
 class CondgofError(Exception):
     """Base class for all errors raised by this package."""
@@ -99,6 +101,16 @@ def as_integer(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def as_float_array(name: str, value, copy: bool = False) -> np.ndarray:
+    """value as a float64 array, a C-ordered copy if asked; refuses ragged or non-numeric input."""
+    try:
+        if copy:
+            return np.array(value, dtype=np.float64, order="C")
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be a rectangular array of numbers") from None
 
 
 def whole_fields(owner, **minimums: int) -> None:

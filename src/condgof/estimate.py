@@ -72,9 +72,10 @@ def mle_gaussian_linear(data: Dataset) -> np.ndarray:
             f"need at least k + 2 = {k + 2} observations, got {n}"
         )
     design = np.hstack([np.ones((n, 1)), data.x])
-    if np.linalg.matrix_rank(design) < k + 1:
+    # lstsq's rank uses matrix_rank's default cutoff, eps * max(n, k + 1) * sigma_max
+    beta, _res, rank, _sv = np.linalg.lstsq(design, data.y, rcond=None)
+    if rank < k + 1:
         raise SingularDesignError("design matrix is rank deficient")
-    beta, _res, _rank, _sv = np.linalg.lstsq(design, data.y, rcond=None)
     resid = data.y - design @ beta
     sigma = float(np.sqrt(resid @ resid / n))
     if sigma < _SIGMA_MIN:

@@ -316,7 +316,7 @@ class StatLevelResult:
 class StatSummary:
     stat: str
     mean: float
-    variance: float
+    variance: float | None  # None below 2 successful replications
     ks_uniform: float | None
     mean_df: float | None
 
@@ -371,7 +371,7 @@ def aggregate(cfg: SimConfig, outcomes: list[RepOutcome]) -> SimResult:
         raise ExperimentInvalidError(
             f"{len(failures)} of {R} replications failed (> 5%)"
         )
-    n_eff = len(good)
+    n_eff = len(good)  # >= 1: an experiment with every replication failed is invalid
     results: list[StatLevelResult] = []
     summaries: list[StatSummary] = []
     for name in cfg.stats:
@@ -379,23 +379,23 @@ def aggregate(cfg: SimConfig, outcomes: list[RepOutcome]) -> SimResult:
         values = np.array([rep.value for rep in reports])
         point_ps = [rep.p_value for rep in reports if rep.p_value is not None]
         ks = None
-        if len(point_ps) == n_eff and n_eff > 0:
+        if len(point_ps) == n_eff:
             ks = ks_uniform_distance(np.array(point_ps))
         dfs = [rep.df for rep in reports if rep.df is not None]
-        mean_df = float(np.mean(dfs)) if len(dfs) == n_eff and n_eff > 0 else None
+        mean_df = float(np.mean(dfs)) if len(dfs) == n_eff else None
         summaries.append(
             StatSummary(
                 stat=name,
-                mean=float(values.mean()) if n_eff else float("nan"),
-                variance=float(values.var(ddof=1)) if n_eff > 1 else float("nan"),
+                mean=float(values.mean()),
+                variance=float(values.var(ddof=1)) if n_eff > 1 else None,
                 ks_uniform=ks,
                 mean_df=mean_df,
             )
         )
         for level in cfg.levels:
             rej = sum(1 for rep in reports if rep.rejects(level))
-            rate = rej / n_eff if n_eff else float("nan")
-            se = math.sqrt(rate * (1.0 - rate) / n_eff) if n_eff else float("nan")
+            rate = rej / n_eff
+            se = math.sqrt(rate * (1.0 - rate) / n_eff)
             results.append(
                 StatLevelResult(
                     stat=name, level=level, rejections=rej, rate=rate, mc_se=se
@@ -421,9 +421,9 @@ def calibrate_df(cfg: SimConfig) -> dict:
     """Null-distribution diagnostic: statistic means against policy_df.
 
     Runs the experiment and reports, per statistic, the Monte Carlo mean and
-    its standard error next to policy_df for the configured estimator, plus
-    the mean reported point df when the statistic carries one (the raw-MLE
-    Wald's covariance rank).
+    its standard error (None below two successful replications) next to
+    policy_df for the configured estimator, plus the mean reported point df
+    when the statistic carries one (the raw-MLE Wald's covariance rank).
     """
     res = run_experiment(cfg)
     p = resolve_model(cfg.model, cfg.dgp.k).param_dim
@@ -432,7 +432,7 @@ def calibrate_df(cfg: SimConfig) -> dict:
     for name in cfg.stats:
         summ = res.summary(name)
         n_eff = res.replications - res.failed
-        se = math.sqrt(summ.variance / n_eff) if n_eff > 1 else float("nan")
+        se = None if summ.variance is None else math.sqrt(summ.variance / n_eff)
         out[name] = {
             "mean": summ.mean,
             "se": se,

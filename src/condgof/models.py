@@ -27,6 +27,7 @@ from .errors import (
     InvalidArgumentError,
     InvalidParameterError,
     ModelEvaluationError,
+    as_float_array,
     as_integer,
 )
 
@@ -42,8 +43,8 @@ class Dataset:
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=np.float64, order="C", copy=True)
-        x = np.array(self.x, dtype=np.float64, order="C", copy=True)
+        y = as_float_array("y", self.y, copy=True)
+        x = as_float_array("x", self.x, copy=True)
         if x.ndim == 1:
             x = x[:, None]
         if y.ndim != 1 or x.ndim != 2:

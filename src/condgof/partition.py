@@ -31,10 +31,9 @@ each threshold is placed at the value of the last point of its left group,
 so a value equal to a threshold belongs to the left cell. Duplicate values
 straddling a nominal cut are pushed left as a block; if that exhausts the
 points before T strictly increasing thresholds exist, the split is
-impossible and InsufficientDataError is raised. Ties in coordinate values
-keep the cell's row order: original row order at the root, below it the
-order its ancestors' sorts left. That order decides only the sign of a zero
-threshold, where -0.0 and 0.0 tie at a cut.
+impossible and InsufficientDataError is raised. A built partition depends
+only on the covariate values, not on the order of the rows: a zero
+threshold is written 0.0, whichever sign its points' zeros carry.
 
 A partition document holds cells (each only lower and upper), origin, seed,
 T and r, and partition_from_dict rejects any other key; seed, T and r are
@@ -51,7 +50,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import backend
-from .errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError, as_integer
+from .errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
+from .errors import as_float_array, as_integer
 
 _INT_FLOORS = {"T": 2, "r": 1, "seed": 0}
 _DOCUMENT_META = ("origin", "seed", "T", "r")  # document keys besides cells
@@ -87,8 +87,8 @@ class Partition:
         for name, least in _INT_FLOORS.items():
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, as_integer(name, getattr(self, name), least))
-        lo = np.array(self.lower, dtype=np.float64)
-        up = np.array(self.upper, dtype=np.float64)
+        lo = as_float_array("lower", self.lower, copy=True)
+        up = as_float_array("upper", self.upper, copy=True)
         if lo.ndim != 2 or lo.shape != up.shape:
             raise InvalidArgumentError("cell bounds must be two (J, k) arrays of equal shape")
         if lo.shape[0] == 0:
@@ -115,7 +115,7 @@ class Partition:
 
     def locate0(self, x) -> np.ndarray:
         """0-based cell index per row of x; raises if any row is uncovered."""
-        pts = np.asarray(x, dtype=np.float64)
+        pts = as_float_array("points", x)
         if pts.ndim == 1:
             pts = pts[:, None]
         if pts.shape[1] != self.k:
@@ -136,7 +136,7 @@ def cell_counts(partition: Partition, x) -> np.ndarray:
 
 def _builder_input(x, **ints) -> np.ndarray:
     """x as a finite (n, k) float array, after checking the integer arguments."""
-    pts = np.asarray(x, dtype=np.float64)
+    pts = as_float_array("covariates", x)
     if pts.ndim == 1:
         pts = pts[:, None]
     if not np.isfinite(pts).all():
@@ -173,30 +173,18 @@ def _split_cuts(sorted_vals: np.ndarray, T: int) -> list[int]:
     return cuts
 
 
-def _stable_argsort(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, vals[order]) for np.argsort(vals, kind="stable").
-
-    With no two values equal every sorting permutation is the stable one, so
-    numpy's faster default sort serves; any tie, -0.0 against 0.0 included,
-    takes the stable sort.
-    """
-    order = np.argsort(vals)
-    sorted_vals = vals.take(order)
-    if (sorted_vals[1:] == sorted_vals[:-1]).any():
-        order = np.argsort(vals, kind="stable")
-        sorted_vals = vals.take(order)
-    return order, sorted_vals
-
-
 def _split_node(rows, lo, up, cols: np.ndarray, axis: int, T: int) -> list:
     """Split the cell (rows, lo, up) along axis into T (rows, lower, upper) children.
 
     cols is the points in column-major order, (k, n): cols[axis] is one
     contiguous coordinate.
     """
-    order, sorted_vals = _stable_argsort(cols[axis].take(rows))
+    vals = cols[axis].take(rows)
+    order = np.argsort(vals)
+    sorted_vals = vals.take(order)
     cuts = _split_cuts(sorted_vals, T)
-    edges = [lo[axis]] + [float(sorted_vals[c - 1]) for c in cuts] + [up[axis]]
+    # + 0.0 turns a -0.0 threshold into 0.0, so no tie order shows in the output
+    edges = [lo[axis]] + [float(sorted_vals[c - 1]) + 0.0 for c in cuts] + [up[axis]]
     if any(edges[i] >= edges[i + 1] for i in range(T)):
         raise InsufficientDataError(
             "split thresholds are not strictly inside the cell bounds"
@@ -262,14 +250,13 @@ def marginal_grid_partition(x, T: int) -> Partition:
     if n < T:
         raise InsufficientDataError(f"need at least T = {T} points, got {n}")
     edges_per_axis = []
-    for col in np.ascontiguousarray(pts.T):
-        vals = _stable_argsort(col)[1]
+    for vals in np.sort(pts, axis=0).T:
         cuts = _split_cuts(vals, T)
-        edges_per_axis.append([-np.inf] + [float(vals[c - 1]) for c in cuts] + [np.inf])
+        edges_per_axis.append([-np.inf] + [float(vals[c - 1]) + 0.0 for c in cuts] + [np.inf])
     return product_partition(edges_per_axis)
 
 
-def _equal_depth_counts(k: int, r: int, T: int) -> np.ndarray:
+def _equal_depth_counts(k: int, r: int, T: int) -> list[int]:
     """Axis multiplicities summing to the smallest (T^q - 1)/(T - 1) >= k*r."""
     target = k * r
     total = 1
@@ -278,9 +265,7 @@ def _equal_depth_counts(k: int, r: int, T: int) -> np.ndarray:
         q += 1
         total = (T**q - 1) // (T - 1)
     base, extra = divmod(total, k)
-    counts = np.full(k, base, dtype=np.int64)
-    counts[:extra] += 1
-    return counts
+    return [base + 1] * extra + [base] * (k - extra)
 
 
 def rtp_partition(
@@ -298,9 +283,9 @@ def rtp_partition(
     """
     pts = _builder_input(x, T=T, r=r, seed=seed)
     n, k = pts.shape
-    counts = _equal_depth_counts(k, r, T) if equal_depth else np.full(k, r, dtype=np.int64)
-    n_splits = int(counts.sum())
-    J = 1 + n_splits * (T - 1)
+    counts = _equal_depth_counts(k, r, T) if equal_depth else [r] * k
+    pool = np.repeat(np.arange(k), counts).tolist()  # the axis multiset, sorted
+    J = 1 + len(pool) * (T - 1)
     if n < J:
         raise InsufficientDataError(f"need n >= J = {J} points, got {n}")
 
@@ -308,20 +293,18 @@ def rtp_partition(
     cols = np.ascontiguousarray(pts.T)
     terminals = [_whole_space(n, k)]  # (rows, lower, upper) in creation order
     sizes = [n]  # point count of each terminal
-    split_axes = np.empty(n_splits, dtype=np.int64)
-    for s in range(n_splits):
+    split_axes = []
+    while pool:
         # most points first; ties go to the earliest-created terminal
         i = sizes.index(max(sizes))
-        u = int(rng.integers(int(counts.sum())))
-        axis = int(np.searchsorted(np.cumsum(counts), u, side="right"))
-        counts[axis] -= 1
-        split_axes[s] = axis
+        axis = pool.pop(int(rng.integers(len(pool))))
+        split_axes.append(axis)
         children = _split_node(*terminals.pop(i), cols, axis, T)
         sizes.pop(i)
         terminals.extend(children)
         sizes.extend(child[0].shape[0] for child in children)
     part = _boxes_partition(terminals, origin="rtp", seed=seed, T=T, r=r)
-    return part, split_axes
+    return part, np.array(split_axes, dtype=np.int64)
 
 
 def _bound_to_json(v: float):

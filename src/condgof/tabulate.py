@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCellError, InvalidArgumentError, as_integer
+from .errors import EmptyCellError, InvalidArgumentError, as_float_array, as_integer
 from .models import bin_pivots
 from .partition import Partition
 
@@ -26,7 +26,7 @@ class UGrid:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.thresholds, dtype=np.float64, copy=True)
+        t = as_float_array("thresholds", self.thresholds, copy=True)
         if t.ndim != 1 or t.shape[0] < 2:
             raise InvalidArgumentError("grid needs at least two thresholds")
         if t[0] != 0.0 or t[-1] != 1.0:

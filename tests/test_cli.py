@@ -343,6 +343,18 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_single_replication_writes_strict_json(self, tmp_path):
+        # one replication has no sample variance: the document says null, not NaN
+        cfg = self._config(tmp_path, replications=1)
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["summaries"][0]["variance"] is None
+
     def test_bad_config_exit_2(self, tmp_path, capsys):
         cfg = self._config(tmp_path, estimator="bayes")
         assert main(["simulate", "--config", cfg]) == 2

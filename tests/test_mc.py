@@ -1,7 +1,5 @@
 """Simulation engine: reproducibility, aggregation, and df diagnostics."""
 
-import math
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -299,7 +297,8 @@ class TestAggregate:
         res = run_experiment(cfg)
         assert res.replications == 1 and res.failed == 0
         assert res.rate("pearson", 0.05) in (0.0, 1.0)
-        assert math.isnan(res.summary("pearson").variance)
+        assert res.summary("pearson").variance is None
+        assert calibrate_df(cfg)["pearson"]["se"] is None
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):

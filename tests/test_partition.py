@@ -45,6 +45,15 @@ class TestCell:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidArgumentError):
             Partition(np.array([[1.0]]), np.array([[0.0]]), "fixed")
+        # ragged and non-numeric bounds and points are refused as the package's error
+        part = Partition([[0.0]], [[1.0]])
+        for bad in ([[0.0], [0.0, 1.0]], [["a"]], [[{}]]):
+            with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
+                Partition(bad, [[1.0]])
+            with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
+                Partition([[0.0]], bad)
+            with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
+                part.locate0(bad)
 
 
 class TestGessaman:
@@ -91,6 +100,10 @@ class TestGessaman:
                 gessaman_partition(x, T)
             with pytest.raises(InvalidArgumentError, match="T must be an integer >= 2"):
                 marginal_grid_partition(x, T)
+        for bad in ([[0.0, 1.0], [0.5]], [["a", 1.0]], [[{}, 1.0]]):
+            for build in (gessaman_partition, marginal_grid_partition):
+                with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
+                    build(bad, 2)
 
     def test_duplicate_heavy_data(self):
         x = np.array([[0.0]] * 7 + [[1.0]] * 5)
@@ -235,6 +248,9 @@ class TestRtp:
         for args in bad:
             with pytest.raises(InvalidArgumentError, match="must be an integer"):
                 rtp_partition(x, **args)
+        for covariates in ([[0.0, 1.0], [0.5]], [["a", 1.0]], [[{}, 1.0]]):
+            with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
+                rtp_partition(covariates, 2, 1, seed=0)
         # Monte Carlo partition seeds span the whole uint64 range
         for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int64(3)):
             part, _ = rtp_partition(x, 2, 1, seed=seed)
@@ -481,17 +497,17 @@ class TestPinnedDocuments:
         "law_normal": "1944492bbaa6e08dd222b49f1de623751d51bca61d80b42976b4c7604f6c66eb",
         "law_uniform": "e40d5de3a3c735d465fb6113517aa3ea9a1ebd6c8463a55699c5a38da3b61d6e",
         "rtp_T2_r1": "4636e3bc9d3b50ddbc1557937c800ca957ff0747bf7cb3bea9a653b67e960c33",
-        "rtp_T2_r1_dup": "cccd46a296f329afb6bc5af19e535ef6489953cc88c1e0b0f316fc7c36e46ed6",
+        "rtp_T2_r1_dup": "4681b8f1a4e6b2ef4e5a1744a8d3b872b120b25d0e7ac4f88274b614402e16d7",
         "rtp_T2_r2": "2724d5bd16b2068c2055195e2c490449466659960262d0cb26cc3614f68203d2",
-        "rtp_T2_r2_dup": "5209f0aa2781d7b7590b98d11f87dc2d9c811167ff1b603816c5cf99ffab825b",
+        "rtp_T2_r2_dup": "af07d04dc2149b22fcf671a9de677adc8e43631f56d3c36f71a64f075a065578",
         "rtp_T2_r3": "379739ba3148f31042921bc75c7725546bdbced71bf82383036124083d5924b6",
-        "rtp_T2_r3_dup": "9454625c6913ecdabb226629c7184083be0dcef6ebbde0aa8398c656bc385ae3",
+        "rtp_T2_r3_dup": "3a31ff81620b4210f08c6b10f468e3ac613c0749de6ba9032d4bc1645adab6ed",
         "rtp_T3_r1": "181b9a621fa888b90c6e14007e55b2811fe82057aa106d3337fb097572ef837c",
         "rtp_T3_r1_dup": "02142dfe6b89b136eb64e59a36f9cf0c1f1e936e99975c2c3531988caeee0d98",
         "rtp_T3_r2": "285f1a838e33484bbcda9b6dc13244476bb5739c83f91d8e0bea233d157e2957",
         "rtp_T3_r2_dup": "56a5f362417ca3680e7ad532321a1abd32610201600f6ea2774cdcb0e8d157da",
         "rtp_T3_r3": "5b1e69a79a7766f2163705a60eedde8591a0c9a8d46d17250d9737b7e7665b81",
-        "rtp_T3_r3_dup": "74a104497fcee15367b4353e04b32e0267c63ca3fe53b5c7727090909758eab3",
+        "rtp_T3_r3_dup": "aa65da426842c066b11c83b922ae04481fc6c688ba87f7465cb9e492e8ee8877",
         "rtp_T2_equal_depth": "e1e31dc48266e88976a45c1ff0a3310a24775330833e34cc5dfd2b11cc907be2",
         "rtp_T3_equal_depth": "1ccd1cce811ac557e2a260612c48c1b09b63de7893ae7a5f111a2e76c8d89c1a",
     }
@@ -534,7 +550,7 @@ def _stable_split_node(rows, lo, up, cols, axis, T):
     order = np.argsort(coord, kind="stable")  # stable: ties keep row order
     sorted_vals = coord[order]
     cuts = _stable_split_cuts(sorted_vals, T)
-    edges = [lo[axis]] + [float(sorted_vals[c - 1]) for c in cuts] + [up[axis]]
+    edges = [lo[axis]] + [float(sorted_vals[c - 1]) + 0.0 for c in cuts] + [up[axis]]
     if any(edges[i] >= edges[i + 1] for i in range(T)):
         raise InsufficientDataError(
             "split thresholds are not strictly inside the cell bounds"
@@ -553,15 +569,12 @@ def _stable_split_node(rows, lo, up, cols, axis, T):
 def _stable_only():
     """Patch condgof.partition back to stable sorts and the element-wise cut walk."""
     return mock.patch.multiple(
-        "condgof.partition",
-        _split_node=_stable_split_node,
-        _split_cuts=_stable_split_cuts,
-        _stable_argsort=lambda vals: (vals.argsort(kind="stable"), np.sort(vals, kind="stable")),
+        "condgof.partition", _split_node=_stable_split_node, _split_cuts=_stable_split_cuts
     )
 
 
-def _oracle_config(seed):
-    """One seeded build as a callable; a third of them heavy with duplicates."""
+def _oracle_data(seed):
+    """(kind, x, T, r) of one seeded build; a third of them heavy with duplicates."""
     rng = np.random.Generator(np.random.Philox(seed))
     kind = ("rtp", "rtp_equal_depth", "gessaman", "grid")[seed % 4]
     k, T, r = int(rng.integers(1, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
@@ -575,6 +588,11 @@ def _oracle_config(seed):
     if mode == 2:  # a few signed zeros in otherwise distinct values
         x[rng.uniform(size=x.shape) < 0.05] = 0.0
     x[x == 0.0] = np.where(rng.uniform(size=int((x == 0.0).sum())) < 0.5, -0.0, 0.0)
+    return kind, x, T, r
+
+
+def _oracle_build(seed, kind, x, T, r):
+    """The build of _oracle_data as a callable returning (partition, split_axes or None)."""
     builders = {
         "rtp": lambda: rtp_partition(x, T, r, seed),
         "rtp_equal_depth": lambda: rtp_partition(x, T, r, seed, equal_depth=True),
@@ -599,7 +617,7 @@ class TestSplitOracle:
     def test_matches_stable_reference(self):
         failures = 0
         for seed in range(320):
-            build = _oracle_config(seed)
+            build = _oracle_build(seed, *_oracle_data(seed))
             got = _outcome(build)
             with _stable_only():
                 want = _outcome(build)
@@ -607,15 +625,18 @@ class TestSplitOracle:
             failures += got[0] is InsufficientDataError
         assert 0 < failures < 160  # both outcomes are exercised
 
-    def test_zero_threshold_sign_follows_cell_row_order(self):
-        # each slab's axis-1 cut lands in a run of signed zeros: the threshold
-        # takes the sign of the run's last zero in the slab's row order, which
-        # the axis-0 sort left; original row order would give another document
-        rng = np.random.Generator(np.random.Philox(24))
-        x = rng.uniform(-1.0, 1.0, (64, 2))
-        zero = np.abs(x[:, 1]) < 0.4
-        x[zero, 1] = np.where(rng.uniform(size=int(zero.sum())) < 0.5, -0.0, 0.0)
-        part = gessaman_partition(x, 2)
-        assert [str(v) for v in part.upper[[0, 2], 1]] == ["0.0", "-0.0"]
-        digest = hashlib.sha256(partition_to_json(part).encode()).hexdigest()
-        assert digest == "35adffd2d7fc3b29b2aacad3f0660617538801e5556437215dd8d750f906fd4c"
+    def test_output_ignores_row_order_and_zero_signs(self):
+        # a build reads only the covariate values: permuting the rows and
+        # flipping the sign of every zero must not move the document
+        zero_bounds = []
+        for seed in range(320):
+            kind, x, T, r = _oracle_data(seed)
+            perm = np.random.Generator(np.random.Philox(seed)).permutation(x.shape[0])
+            shuffled = x[perm]
+            shuffled[shuffled == 0.0] *= -1.0
+            got = _outcome(_oracle_build(seed, kind, shuffled, T, r))
+            assert got == _outcome(_oracle_build(seed, kind, x, T, r)), f"config seed {seed}"
+            if got[0] is not InsufficientDataError:
+                zero_bounds += re.findall(r"^ +(-?0\.0),?$", got[0], re.MULTILINE)
+        # zero thresholds are exercised, and each is written 0.0
+        assert len(zero_bounds) > 20 and set(zero_bounds) == {"0.0"}

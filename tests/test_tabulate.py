@@ -61,6 +61,9 @@ class TestUGrid:
             UGrid(np.array([0.0, 0.5, 0.9]))
         with pytest.raises(InvalidArgumentError):
             UGrid(np.array([0.3]))
+        for bad in ([0.0, [0.5, 0.7], 1.0], [0.0, "a", 1.0], [0.0, {}, 1.0]):
+            with pytest.raises(InvalidArgumentError, match="thresholds must be a rectangular"):
+                UGrid(bad)
 
     def test_thresholds_frozen(self):
         g = balanced_grid(2)
