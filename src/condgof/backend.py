@@ -1,13 +1,14 @@
 """Numerical kernels: special functions and cell location.
 
-The Monte Carlo engine locates every observation in a covariate partition
-once per replication. locate_cells cuts each axis at the distinct finite
-cell bounds, paints each box's range of slots into a table, and reads each
-point's cell at its slot: O(n·k·log J) once the table is built. A partition
-whose table would hold more than _TABLE_CAP entries falls back to the
-O(n·J·k) box scan _locate_scan, which is also the table's test oracle. A
-point with a NaN or -inf coordinate lies in no cell. The normal special
-functions come from the standard library.
+Built partitions hand over each row's cell, so locate_cells serves only a
+partition file, the Monte Carlo law grid and direct Partition.locate0
+callers such as the min-chi-square objective. It cuts each axis at the
+distinct finite cell bounds, paints each box's range of slots into a
+table, and reads each point's cell at its slot: O(n·k·log J) once the
+table is built. A partition whose table would hold more than _TABLE_CAP
+entries falls back to the O(n·J·k) box scan _locate_scan, which is also
+the table's test oracle. A point with a NaN or -inf coordinate lies in no
+cell. The normal special functions come from the standard library.
 
 - erfc, std_normal_cdf, normal_cdf: the standard library's math.erfc
   (mapped over arrays element by element), within 2.5 ulp of mpmath on

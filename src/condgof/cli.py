@@ -32,12 +32,11 @@ from .mc import config_from_dict, run_experiment, run_pipeline
 from .models import Dataset, resolve_model
 from .partition import (
     Partition,
-    cell_counts,
-    gessaman_partition,
-    marginal_grid_partition,
+    _gessaman,
+    _marginal_grid,
+    _rtp,
     partition_from_dict,
     partition_to_dict,
-    rtp_partition,
 )
 from .stats import STATISTICS, TestReport
 from .tabulate import balanced_grid
@@ -234,12 +233,11 @@ def _read_partition_file(path: str) -> Partition:
 
 
 def _data_partition(rule: str, x: np.ndarray, T: int, r: int, seed: int):
-    """(partition, description) of x under the gessaman, rtp or marginal grid rule."""
-    if rule == "gessaman":
-        return gessaman_partition(x, T), {"kind": "gessaman", "T": T}
+    """(partition, cell of each row of x, description) under the gessaman, rtp or grid rule."""
     if rule == "rtp":
-        return rtp_partition(x, T, r, seed)[0], {"kind": "rtp", "T": T, "r": r, "seed": seed}
-    return marginal_grid_partition(x, T), {"kind": "grid", "T": T}
+        return (*_rtp(x, T, r, seed)[:2], {"kind": "rtp", "T": T, "r": r, "seed": seed})
+    build = _gessaman if rule == "gessaman" else _marginal_grid
+    return (*build(x, T), {"kind": rule, "T": T})
 
 
 def cmd_test(args) -> int:
@@ -256,15 +254,16 @@ def cmd_test(args) -> int:
     model = resolve_model(args.model, data.k)
 
     seed = 0 if args.seed is None else args.seed
+    cells = None
     if args.partition_file:
         partition = _read_partition_file(args.partition_file)
         if partition.k != data.k:
             raise DataError(
                 f"{args.partition_file}: partition has dimension {partition.k}, data has {data.k}"
             )
-        partition_desc = {"kind": "file", "path": args.partition_file}
+        desc = {"kind": "file", "path": args.partition_file}
     else:
-        partition, partition_desc = _data_partition(args.partition, data.x, args.T, args.r, seed)
+        partition, cells, desc = _data_partition(args.partition, data.x, args.T, args.r, seed)
 
     theta = None
     if estimator == "known":
@@ -273,20 +272,22 @@ def cmd_test(args) -> int:
         except InvalidParameterError as exc:
             raise UsageError(f"invalid --theta: {exc}") from exc
 
+    try:  # a file partition was not built from the data: locate the rows in it
+        cells = partition.locate0(data.x) if cells is None else cells
+    except UncoveredPointError as exc:
+        raise DataError(f"{args.partition_file}: {exc}") from exc
     try:
         theta, table, reports = run_pipeline(
             model,
             data,
             partition,
+            cells,
             balanced_grid(args.L),
             estimator,
             stats,
             theta,
             seed,
         )
-    except UncoveredPointError as exc:
-        # only a partition read from a file can leave data uncovered
-        raise DataError(f"{args.partition_file}: {exc}") from exc
     except OutOfSupportError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
 
@@ -301,7 +302,7 @@ def cmd_test(args) -> int:
             "estimator": args.estimator,
             "theta": [float(t) for t in theta],
             "L": args.L,
-            "partition": partition_desc,
+            "partition": desc,
             "stats": stats,
             "seed": seed,
         },
@@ -350,8 +351,8 @@ def cmd_partition(args) -> int:
     _check_int_flags(args, T=2, r=1, seed=0)
     _y, x = read_csv_columns(args.data, None, x_cols)
     seed = 0 if args.seed is None else args.seed
-    part, _desc = _data_partition(args.rule, x, args.T, args.r, seed)
-    counts = cell_counts(part, x)
+    part, cells, _desc = _data_partition(args.rule, x, args.T, args.r, seed)
+    counts = np.bincount(cells, minlength=part.J)
     doc = {
         "version": __version__,
         "config": {

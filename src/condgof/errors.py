@@ -104,13 +104,14 @@ def as_integer(name: str, value, least: int) -> int:
 
 
 def as_float_array(name: str, value, copy: bool = False) -> np.ndarray:
-    """value as a float64 array, a C-ordered copy if asked; refuses ragged or non-numeric input."""
+    """value as float64, a C-ordered copy if asked; refuses ragged, complex or non-numeric data."""
     try:
-        if copy:
-            return np.array(value, dtype=np.float64, order="C")
-        return np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
+        if not np.iscomplexobj(arr):
+            return np.array(arr, np.float64, order="C") if copy else np.asarray(arr, np.float64)
     except (TypeError, ValueError):
-        raise InvalidArgumentError(f"{name} must be a rectangular array of numbers") from None
+        pass
+    raise InvalidArgumentError(f"{name} must be a rectangular array of numbers")
 
 
 def whole_fields(owner, **minimums: int) -> None:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
 from .models import ConditionalModel, Dataset, resolve_model, response_bins
-from .partition import Partition, gessaman_partition, product_partition, rtp_partition
+from .partition import Partition, _gessaman, _rtp, product_partition
 from .stats import (
     ESTIMATORS,
     STATISTICS,
@@ -217,20 +217,21 @@ def _rep_streams(master_seed: int, rep_index: int):
     return data_rng, part_seed, est_seed
 
 
-def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> Partition:
+def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> tuple:
     rule = cfg.partition
-    if rule.kind == "grid":
-        return law_grid_partition(cfg.dgp.covariate_law, cfg.dgp.k, rule.T)
+    if rule.kind == "grid":  # not built from x, so x is located in it
+        part = law_grid_partition(cfg.dgp.covariate_law, cfg.dgp.k, rule.T)
+        return part, part.locate0(x)
     if rule.kind == "gessaman":
-        return gessaman_partition(x, rule.T)
-    part, _axes = rtp_partition(x, rule.T, rule.r, part_seed)
-    return part
+        return _gessaman(x, rule.T)
+    return _rtp(x, rule.T, rule.r, part_seed)[:2]
 
 
 def run_pipeline(
     model: ConditionalModel,
     data: Dataset,
     partition: Partition,
+    cells: np.ndarray,
     grid: UGrid,
     estimator: str,
     stats: tuple[str, ...] | list[str],
@@ -244,9 +245,10 @@ def run_pipeline(
     Gaussian MLE, otherwise mle_numeric from zero) or "min_chisq" (the raw
     MLE refined by min_chisq_estimate under OptimizerConfig(restarts=2,
     seed=seed, max_iterations=200)). Responses below the model's support
-    raise OutOfSupportError before anything is estimated. Covariate cells are
-    located once and shared by the table and the raw-MLE Wald. Returns
-    (theta, table, reports by statistic name).
+    raise OutOfSupportError before anything is estimated. cells, each row's
+    0-based cell, comes from the build of a data-dependent partition or from
+    partition.locate0 for any other; the table and the raw-MLE Wald share
+    it. Returns (theta, table, reports by statistic name).
     """
     below = np.flatnonzero(data.y < model.support_lower)
     if below.size:
@@ -254,7 +256,6 @@ def run_pipeline(
             f"response at row {below[0]} is {float(data.y[below[0]])}, "
             f"outside the support y >= {model.support_lower} of {model.name}"
         )
-    cells = partition.locate0(data.x)
     if estimator == "known":
         theta = np.asarray(theta)
     else:
@@ -286,11 +287,12 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
         data_rng, part_seed, est_seed = _rep_streams(cfg.master_seed, rep_index)
         data = simulate_dataset(cfg.dgp, data_rng)
         model = resolve_model(cfg.model, cfg.dgp.k)
-        partition = _build_partition(cfg, data.x, part_seed)
+        partition, cells = _build_partition(cfg, data.x, part_seed)
         _theta, _table, outcome.reports = run_pipeline(
             model,
             data,
             partition,
+            cells,
             balanced_grid(cfg.L),
             cfg.estimator,
             cfg.stats,

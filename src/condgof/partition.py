@@ -35,6 +35,10 @@ impossible and InsufficientDataError is raised. A built partition depends
 only on the covariate values, not on the order of the rows: a zero
 threshold is written 0.0, whichever sign its points' zeros carry.
 
+The private builders _gessaman, _rtp and _marginal_grid also return each
+row's cell, read off the build's row sets; like locate0 they follow lower <
+x <= upper, so a value equal to a threshold is in the left cell.
+
 A partition document holds cells (each only lower and upper), origin, seed,
 T and r, and partition_from_dict rejects any other key; seed, T and r are
 None or integers, checked like every integer argument by errors.as_integer.
@@ -129,11 +133,6 @@ class Partition:
         return idx
 
 
-def cell_counts(partition: Partition, x) -> np.ndarray:
-    """Number of rows of x in each cell, in partition order."""
-    return np.bincount(partition.locate0(x), minlength=partition.J)
-
-
 def _builder_input(x, **ints) -> np.ndarray:
     """x as a finite (n, k) float array, after checking the integer arguments."""
     pts = as_float_array("covariates", x)
@@ -204,16 +203,15 @@ def _whole_space(n: int, k: int) -> tuple:
     return np.arange(n), np.full(k, -np.inf), np.full(k, np.inf)
 
 
-def _boxes_partition(boxes: list, **meta) -> Partition:
-    return Partition(np.array([b[1] for b in boxes]), np.array([b[2] for b in boxes]), **meta)
+def _boxes_partition(boxes: list, n: int, **meta) -> tuple[Partition, np.ndarray]:
+    cells = np.empty(n, dtype=np.int64)
+    for j, (rows, _lo, _up) in enumerate(boxes):
+        cells[rows] = j
+    part = Partition(np.array([b[1] for b in boxes]), np.array([b[2] for b in boxes]), **meta)
+    return part, cells
 
 
-def gessaman_partition(x, T: int) -> Partition:
-    """Recursive equal-count partition into J = T^k cells.
-
-    Needs at least T^k observations. With distinct coordinate values the
-    terminal counts differ by at most 1.
-    """
+def _gessaman(x, T: int) -> tuple[Partition, np.ndarray]:
     pts = _builder_input(x, T=T)
     n, k = pts.shape
     if n < T**k:
@@ -222,7 +220,16 @@ def gessaman_partition(x, T: int) -> Partition:
     slabs = [_whole_space(n, k)]
     for d in range(k):
         slabs = [child for slab in slabs for child in _split_node(*slab, cols, d, T)]
-    return _boxes_partition(slabs, origin="gessaman", T=T)
+    return _boxes_partition(slabs, n, origin="gessaman", T=T)
+
+
+def gessaman_partition(x, T: int) -> Partition:
+    """Recursive equal-count partition into J = T^k cells.
+
+    Needs at least T^k observations. With distinct coordinate values the
+    terminal counts differ by at most 1.
+    """
+    return _gessaman(x, T)[0]
 
 
 def product_partition(edges: list[list[float]]) -> Partition:
@@ -236,6 +243,21 @@ def product_partition(edges: list[list[float]]) -> Partition:
     return Partition(np.array(lower), np.array(upper), origin="fixed", T=len(edges[0]) - 1)
 
 
+def _marginal_grid(x, T: int) -> tuple[Partition, np.ndarray]:
+    pts = _builder_input(x, T=T)
+    n = pts.shape[0]
+    if n < T:
+        raise InsufficientDataError(f"need at least T = {T} points, got {n}")
+    edges_per_axis = []
+    cells = np.zeros(n, dtype=np.int64)
+    for vals, col in zip(np.sort(pts, axis=0).T, pts.T):
+        cuts = [float(vals[c - 1]) + 0.0 for c in _split_cuts(vals, T)]
+        edges_per_axis.append([-np.inf] + cuts + [np.inf])
+        # slice i is (cuts[i-1], cuts[i]]; the last axis varies fastest, as in product_partition
+        cells = cells * T + np.searchsorted(cuts, col, side="left")
+    return product_partition(edges_per_axis), cells
+
+
 def marginal_grid_partition(x, T: int) -> Partition:
     """Product partition from per-axis marginal equal-count edges.
 
@@ -245,42 +267,19 @@ def marginal_grid_partition(x, T: int) -> Partition:
     not condition on the others, so this is the natural "grid" rule for raw
     data with an unknown covariate law.
     """
-    pts = _builder_input(x, T=T)
-    n = pts.shape[0]
-    if n < T:
-        raise InsufficientDataError(f"need at least T = {T} points, got {n}")
-    edges_per_axis = []
-    for vals in np.sort(pts, axis=0).T:
-        cuts = _split_cuts(vals, T)
-        edges_per_axis.append([-np.inf] + [float(vals[c - 1]) + 0.0 for c in cuts] + [np.inf])
-    return product_partition(edges_per_axis)
+    return _marginal_grid(x, T)[0]
 
 
 def _equal_depth_counts(k: int, r: int, T: int) -> list[int]:
     """Axis multiplicities summing to the smallest (T^q - 1)/(T - 1) >= k*r."""
-    target = k * r
-    total = 1
-    q = 1
-    while total < target:
-        q += 1
-        total = (T**q - 1) // (T - 1)
+    total = 1  # (T^q - 1)/(T - 1) at q = 1; the next q has T * total + 1
+    while total < k * r:
+        total = T * total + 1
     base, extra = divmod(total, k)
     return [base + 1] * extra + [base] * (k - extra)
 
 
-def rtp_partition(
-    x, T: int, r: int, seed: int, equal_depth: bool = False
-) -> tuple[Partition, np.ndarray]:
-    """Random tree partition into J = 1 + k*r*(T - 1) cells.
-
-    Reproducible: the split axes are the only random choices and come from a
-    Philox-seeded generator, so equal (x, T, r, seed) give equal output.
-    With equal_depth=True the axis multiset is reshaped so the total number
-    of splits is the smallest (T^q - 1)/(T - 1) >= k*r, which forces all
-    terminals to the same depth. Returns the partition, cells in creation
-    order, and split_axes, the int64 axes in draw order (their bincount is
-    the number of splits per axis).
-    """
+def _rtp(x, T: int, r: int, seed: int, equal_depth: bool = False) -> tuple:
     pts = _builder_input(x, T=T, r=r, seed=seed)
     n, k = pts.shape
     counts = _equal_depth_counts(k, r, T) if equal_depth else [r] * k
@@ -303,8 +302,24 @@ def rtp_partition(
         sizes.pop(i)
         terminals.extend(children)
         sizes.extend(child[0].shape[0] for child in children)
-    part = _boxes_partition(terminals, origin="rtp", seed=seed, T=T, r=r)
-    return part, np.array(split_axes, dtype=np.int64)
+    part, cells = _boxes_partition(terminals, n, origin="rtp", seed=seed, T=T, r=r)
+    return part, cells, np.array(split_axes, dtype=np.int64)
+
+
+def rtp_partition(
+    x, T: int, r: int, seed: int, equal_depth: bool = False
+) -> tuple[Partition, np.ndarray]:
+    """Random tree partition into J = 1 + k*r*(T - 1) cells.
+
+    Reproducible: the split axes are the only random choices and come from a
+    Philox-seeded generator, so equal (x, T, r, seed) give equal output.
+    With equal_depth=True the axis multiset is reshaped so the total number
+    of splits is the smallest (T^q - 1)/(T - 1) >= k*r, which forces all
+    terminals to the same depth. Returns the partition, cells in creation
+    order, and split_axes, the int64 axes in draw order (their bincount is
+    the number of splits per axis).
+    """
+    return _rtp(x, T, r, seed, equal_depth)[::2]  # the partition and split_axes
 
 
 def _bound_to_json(v: float):

@@ -253,10 +253,12 @@ class TestTestCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         y, x = read_csv_columns(gauss_csv, "y", ["x1", "x2"])
+        part = gessaman_partition(x, 2)
         theta, table, reports = run_pipeline(
             resolve_model("gaussian_linear", 2),
             Dataset(y=y, x=x),
-            gessaman_partition(x, 2),
+            part,
+            part.locate0(x),
             balanced_grid(4),
             _ESTIMATOR_FLAGS[flag],
             stats,

@@ -21,7 +21,7 @@ from condgof import (
     run_replication,
     simulate_dataset,
 )
-from condgof.mc import config_to_dict, ks_uniform_distance
+from condgof.mc import _build_partition, _rep_streams, config_to_dict, ks_uniform_distance
 
 NULL_DGP = DgpSpec(
     family="gaussian_linear",
@@ -236,9 +236,14 @@ class TestReplicationReproducibility:
 
 
 class TestSharedPipeline:
-    @pytest.mark.parametrize("estimator, most", [("raw_mle", 1), ("min_chisq", 2)])
-    def test_cells_located_once_per_dataset(self, monkeypatch, estimator, most):
-        # min_chisq_estimate locates once more for its own objective
+    @pytest.mark.parametrize(
+        "kind, estimator, located",
+        [("rtp", "raw_mle", 0), ("gessaman", "raw_mle", 0), ("rtp", "min_chisq", 1),
+         ("grid", "raw_mle", 1)],
+    )
+    def test_built_partitions_are_not_located(self, monkeypatch, kind, estimator, located):
+        # a build hands over its own cells; min_chisq_estimate locates once for
+        # its objective, and the law grid, not built from the data, once
         calls = []
         locate0 = Partition.locate0
 
@@ -250,12 +255,42 @@ class TestSharedPipeline:
         cfg = _known_cfg(
             estimator=estimator,
             theta=None,
-            partition=PartitionRule(kind="rtp", T=2, r=2),
+            partition=PartitionRule(kind=kind, T=2, r=2),
             stats=("pearson", "lr", "wald"),
         )
         out = run_replication(cfg, 0)
         assert out.error is None
-        assert 1 <= len(calls) <= most
+        assert len(calls) == located
+
+    def test_high_dimensional_tree_never_scans(self, monkeypatch):
+        # k = 6, T = 3, r = 10: the 121 cells' slot table passes backend._TABLE_CAP,
+        # so locating the points would fall back to the O(n J k) box scan
+        def no_scan(*args):
+            raise AssertionError("the box scan ran")
+
+        monkeypatch.setattr(backend, "_locate_scan", no_scan)
+        dgp = DgpSpec(
+            family="gaussian_linear",
+            true_params=(0.5, 1.0, -0.7, 0.3, 0.2, -0.1, 0.4, 1.0),
+            covariate_law="uniform",
+            n=2000,
+            k=6,
+        )
+        cfg = _known_cfg(
+            dgp=dgp,
+            estimator="raw_mle",
+            theta=None,
+            partition=PartitionRule(kind="rtp", T=3, r=10),
+            stats=("pearson", "wald"),
+        )
+        out = run_replication(cfg, 0)
+        assert out.error is None and out.reports["wald"].df == 121 * 3
+        data_rng, part_seed, _ = _rep_streams(cfg.master_seed, 0)
+        x = simulate_dataset(dgp, data_rng).x
+        part, cells = _build_partition(cfg, x, part_seed)
+        with pytest.raises(AssertionError, match="the box scan ran"):
+            part.locate0(x)  # the cliff the build's own cells avoid
+        assert part.J == 121 and cells.shape == (2000,)
 
 
 class TestAggregate:

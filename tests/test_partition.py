@@ -21,13 +21,20 @@ from condgof import (
 from condgof.errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
 from condgof.mc import law_grid_partition
 from condgof.partition import (
-    cell_counts,
+    _gessaman,
+    _marginal_grid,
+    _rtp,
     partition_from_dict,
     partition_from_json,
     partition_to_dict,
     partition_to_json,
     product_partition,
 )
+
+
+def cell_counts(part, x):
+    """Rows of x in each cell of part, located by locate0."""
+    return np.bincount(part.locate0(x), minlength=part.J)
 
 
 def _uniform(n, k, seed):
@@ -45,9 +52,9 @@ class TestCell:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidArgumentError):
             Partition(np.array([[1.0]]), np.array([[0.0]]), "fixed")
-        # ragged and non-numeric bounds and points are refused as the package's error
+        # ragged, non-numeric and complex bounds and points are refused as the package's error
         part = Partition([[0.0]], [[1.0]])
-        for bad in ([[0.0], [0.0, 1.0]], [["a"]], [[{}]]):
+        for bad in ([[0.0], [0.0, 1.0]], [["a"]], [[{}]], np.array([[0.5 + 2j]]), [[0.5j]]):
             with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
                 Partition(bad, [[1.0]])
             with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
@@ -624,6 +631,26 @@ class TestSplitOracle:
             assert got == want, f"config seed {seed}"
             failures += got[0] is InsufficientDataError
         assert 0 < failures < 160  # both outcomes are exercised
+
+    def test_build_cells_equal_locate0(self):
+        # the cells a build hands over are exactly the ones locate0 finds
+        builders = {
+            "rtp": lambda x, T, r, seed: _rtp(x, T, r, seed)[:2],
+            "rtp_equal_depth": lambda x, T, r, seed: _rtp(x, T, r, seed, equal_depth=True)[:2],
+            "gessaman": lambda x, T, r, seed: _gessaman(x, T),
+            "grid": lambda x, T, r, seed: _marginal_grid(x, T),
+        }
+        built = 0
+        for seed in range(320):
+            kind, x, T, r = _oracle_data(seed)
+            try:
+                part, cells = builders[kind](x, T, r, seed)
+            except InsufficientDataError:
+                continue
+            assert cells.dtype == np.int64
+            np.testing.assert_array_equal(cells, part.locate0(x), err_msg=f"config seed {seed}")
+            built += 1
+        assert built > 160
 
     def test_output_ignores_row_order_and_zero_signs(self):
         # a build reads only the covariate values: permuting the rows and
