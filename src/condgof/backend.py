@@ -10,9 +10,8 @@ entries falls back to the O(n·J·k) box scan _locate_scan, which is also
 the table's test oracle. A point with a NaN or -inf coordinate lies in no
 cell. The normal special functions come from the standard library.
 
-- erfc, std_normal_cdf, normal_cdf: the standard library's math.erfc
-  (mapped over arrays element by element), within 2.5 ulp of mpmath on
-  [-6, 27].
+- normal_cdf: the standard library's math.erfc, mapped over an array
+  element by element; normal_cdf states its measured accuracy.
 - std_normal_quantile: statistics.NormalDist().inv_cdf (Wichura's AS241),
   within 3.6 ulp of mpmath at every interior threshold of balanced_grid(L)
   for L <= 64 and at i/T for T <= 8.
@@ -101,21 +100,17 @@ def _chisq_sf_scalar(x: float, df: float) -> float:
 _erfc_ufunc = np.frompyfunc(math.erfc, 1, 1)  # object-dtype results
 
 
-def erfc(x):
-    """Complementary error function, scalar or 1-d array; NaN maps to NaN."""
-    if np.ndim(x) == 0:
-        return math.erfc(float(x))
-    return _erfc_ufunc(np.ascontiguousarray(x, dtype=np.float64)).astype(np.float64)
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF at a scalar point, absolute error below 2e-16."""
-    return 0.5 * math.erfc(-float(z) / _SQRT2)
-
-
 def normal_cdf(z):
-    """Standard normal CDF over a 1-d array."""
-    return 0.5 * erfc(-np.ascontiguousarray(z, dtype=np.float64) / _SQRT2)
+    """Standard normal CDF over a 1-d array, 0.5 * math.erfc(-z / sqrt(2)) element by element.
+
+    -inf maps to 0, +inf to 1 and NaN to NaN. Measured against mpmath:
+    absolute error below 2e-16 on [-40, 40], and relative error within
+    70 ulp on [-6, 6]. math.erfc itself is within 4 ulp on [-6, 27]; the
+    rest is the rounding of -z / sqrt(2), which the lower tail magnifies
+    about z^2-fold.
+    """
+    u = -np.ascontiguousarray(z, dtype=np.float64) / _SQRT2
+    return 0.5 * _erfc_ufunc(u).astype(np.float64)
 
 
 def std_normal_quantile(p: float) -> float:

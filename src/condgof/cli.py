@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -188,21 +189,13 @@ def _check_int_flags(args, **minimums: int) -> None:
 
 
 def _report_to_dict(rep: TestReport) -> dict:
-    doc = {
-        "kind": rep.kind,
-        "value": rep.value,
-        "estimator": rep.estimator,
+    """The report's set fields in field order, p_value written as p and tuples as lists."""
+    items = ((f.name, getattr(rep, f.name)) for f in dataclasses.fields(rep))
+    return {
+        "p" if k == "p_value" else k: list(v) if isinstance(v, (tuple, list)) else v
+        for k, v in items
+        if v is not None
     }
-    if rep.df is not None:
-        doc["df"] = rep.df
-    if rep.df_interval is not None:
-        doc["df_interval"] = [rep.df_interval[0], rep.df_interval[1]]
-    if rep.p_value is not None:
-        doc["p"] = rep.p_value
-    if rep.p_interval is not None:
-        doc["p_interval"] = [rep.p_interval[0], rep.p_interval[1]]
-    doc["warnings"] = list(rep.warnings)
-    return doc
 
 
 def _emit(doc: dict, out_path: str | None) -> None:
@@ -318,11 +311,9 @@ def cmd_test(args) -> int:
     if args.out:
         for name in stats:
             rep = reports[name]
-            if rep.p_value is not None:
-                print(f"{name}: value={rep.value:.6g} p={rep.p_value:.4g}")
-            else:
-                lo, hi = rep.p_interval
-                print(f"{name}: value={rep.value:.6g} p=[{lo:.4g}, {hi:.4g}]")
+            p = rep.p_interval
+            p = f"[{p[0]:.4g}, {p[1]:.4g}]" if p else f"{rep.p_value:.4g}"
+            print(f"{name}: value={rep.value:.6g} p={p}")
     return 0
 
 

@@ -104,10 +104,10 @@ def as_integer(name: str, value, least: int) -> int:
 
 
 def as_float_array(name: str, value, copy: bool = False) -> np.ndarray:
-    """value as float64, a C-ordered copy if asked; refuses ragged, complex or non-numeric data."""
+    """value as float64, a C-ordered copy if asked; only bool, integer and real float arrays pass."""
     try:
         arr = np.asarray(value)
-        if not np.iscomplexobj(arr):
+        if arr.dtype.kind in "biuf":
             return np.array(arr, np.float64, order="C") if copy else np.asarray(arr, np.float64)
     except (TypeError, ValueError):
         pass

@@ -315,9 +315,9 @@ def rtp_partition(
     Philox-seeded generator, so equal (x, T, r, seed) give equal output.
     With equal_depth=True the axis multiset is reshaped so the total number
     of splits is the smallest (T^q - 1)/(T - 1) >= k*r, which forces all
-    terminals to the same depth. Returns the partition, cells in creation
-    order, and split_axes, the int64 axes in draw order (their bincount is
-    the number of splits per axis).
+    terminals to the same depth. Returns (partition, split_axes): the
+    partition's cells in creation order, and the int64 axes in draw order
+    (their bincount is the number of splits per axis).
     """
     return _rtp(x, T, r, seed, equal_depth)[::2]  # the partition and split_axes
 

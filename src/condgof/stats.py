@@ -16,13 +16,15 @@ A run is named by plain strings, each list spelled once here: the
 statistic (STATISTICS) and how theta was obtained (ESTIMATORS). policy_df is
 the one df rule: J*(L-1), since the columns are independent multinomials
 given the covariate cell counts, less the model's p parameters unless theta
-is known. Estimating p parameters from the raw data leaves a statistic of
-the table with a distribution pinned only between chi-square laws with that
-df and p more, so under raw_mle run_test reports a df interval and a p-value
-interval for every statistic but "wald", which there is the form built at
-the raw-data MLE: it repairs its own covariance and gets a point df equal to
-the numerical rank of that covariance, whatever p is. Elsewhere "wald" is
-the null form and reports as "wald_null".
+is known. There is one calibration rule too: a statistic is referred to
+chi-square laws with df from df to df_hi, and a point df is the bracket with
+df == df_hi. Estimating p parameters from the raw data pins a statistic of
+the table only between df and df + p, so under raw_mle every statistic but
+"wald" gets a df interval and a p-value interval. Under raw_mle "wald" is
+the form built at the raw-data MLE: it repairs its own covariance and its
+bracket is the point at the numerical rank of that covariance, whatever p
+is. Elsewhere "wald" is the null form and reports as "wald_null", and every
+bracket is the point policy_df.
 """
 
 from __future__ import annotations
@@ -254,27 +256,25 @@ class WaldInputs:
     cells: np.ndarray  # 0-based covariate cell per row of data
 
 
-def _point_report(kind, value, estimator, df, warnings) -> TestReport:
-    if df < 1:
-        if value <= 1e-12:
-            # degenerate but well-defined case: statistic is identically 0
-            return TestReport(
-                kind=kind,
-                value=value,
-                estimator=estimator,
-                df=0,
-                p_value=1.0,
-                warnings=warnings + ["degenerate grid: 0 degrees of freedom, p forced to 1"],
-            )
-        raise InvalidDfError(f"df must be >= 1 for a p-value, got {df}")
-    return TestReport(
-        kind=kind,
-        value=value,
-        estimator=estimator,
-        df=df,
-        p_value=backend.chisq_sf(value, df),
-        warnings=warnings,
-    )
+def _report(kind, value, estimator, df, df_hi, warnings) -> TestReport:
+    """value on the df bracket [df, df_hi], a point df when df == df_hi; df >= 1 unless degenerate."""
+    rep = TestReport(kind=kind, value=value, estimator=estimator, warnings=warnings)
+    if df_hi < 1 and value <= 1e-12:
+        # degenerate but well-defined case: statistic is identically 0
+        rep.df, rep.p_value = 0, 1.0
+        warnings.append("degenerate grid: 0 degrees of freedom, p forced to 1")
+    elif df < 1:
+        raise InvalidDfError(
+            f"df must be >= 1 for a p-value, got {df}"
+            if df == df_hi
+            else f"lower df endpoint must be >= 1, got {df} (base {df_hi}, p {df_hi - df})"
+        )
+    elif df == df_hi:
+        rep.df, rep.p_value = df, backend.chisq_sf(value, df)
+    else:
+        rep.df_interval = (df, df_hi)
+        rep.p_interval = (backend.chisq_sf(value, df), backend.chisq_sf(value, df_hi))
+    return rep
 
 
 def run_test(
@@ -284,29 +284,29 @@ def run_test(
     p: int = 0,
     wald_inputs: WaldInputs | None = None,
 ) -> TestReport:
-    """Compute one statistic of STATISTICS and calibrate it.
+    """Compute one statistic of STATISTICS and calibrate it on a df bracket.
 
     p is the model's parameter count and df = policy_df(estimator, L, J, p).
-    known and min_chisq give every statistic the point df; raw_mle gives
-    wald its raw-MLE form (from wald_inputs) with a point df equal to its
-    covariance rank, and every other statistic the df interval [df, df + p]
-    with the matching p-value interval. Under known and min_chisq, wald is
+    The bracket is [df, df + p] under raw_mle and the point [df, df]
+    otherwise; the raw-MLE wald (from wald_inputs) has the point at its
+    covariance rank instead. A point reports df and p_value, a wider
+    bracket df_interval and p_interval. Under known and min_chisq, wald is
     the null form, Pearson.
     """
     require_name("statistic", stat, STATISTICS)
     p = as_integer("p", p, 0)
     df = policy_df(estimator, table.L, table.J, p)
+    df_hi = df + p if estimator == "raw_mle" else df
+    kind = "wald_null" if stat == "wald" else stat
     warnings: list[str] = []
-
     if stat == "wald" and estimator == "raw_mle":
         if wald_inputs is None:
             raise InvalidArgumentError("the raw-MLE wald statistic requires wald_inputs")
         w = wald_inputs
-        value, rank = wald_raw_mle(table, w.model, w.theta_hat, w.data, w.cells)
-        return _point_report("wald_raw_mle", value, estimator, rank, warnings)
-
-    kind = "wald_null" if stat == "wald" else stat
-    if stat == "lr":
+        kind = "wald_raw_mle"
+        value, df = wald_raw_mle(table, w.model, w.theta_hat, w.data, w.cells)
+        df_hi = df
+    elif stat == "lr":
         value = lr_stat(table)
         if has_zero_cells(table):
             warnings.append("zero observed cells contribute 0 to the likelihood ratio")
@@ -314,21 +314,4 @@ def run_test(
         value = neyman_stat(table)
     else:
         value = pearson_stat(table)  # LM and the null Wald n d' S+ d equal it exactly
-
-    if estimator == "raw_mle":
-        df_hi = df + p
-        if value <= 1e-12 and df_hi < 1:
-            return _point_report(kind, value, estimator, df_hi, warnings)
-        if df < 1:
-            raise InvalidDfError(
-                f"lower df endpoint must be >= 1, got {df} (base {df_hi}, p {p})"
-            )
-        return TestReport(
-            kind=kind,
-            value=value,
-            estimator=estimator,
-            df_interval=(df, df_hi),
-            p_interval=(backend.chisq_sf(value, df), backend.chisq_sf(value, df_hi)),
-            warnings=warnings,
-        )
-    return _point_report(kind, value, estimator, df, warnings)
+    return _report(kind, value, estimator, df, df_hi, warnings)

@@ -86,6 +86,10 @@ class TestTestCommand:
         assert 0.0 <= p_lo <= p_hi <= 1.0
         assert by_stat["wald"]["kind"] == "wald_raw_mle"
         assert by_stat["wald"]["df"] == 9  # J=3 cells, L=4 bins
+        # an entry lists the report's set fields in field order, then stat
+        bracket = ["kind", "value", "estimator", "df_interval", "p_interval", "warnings", "stat"]
+        assert list(by_stat["pearson"]) == list(by_stat["lr"]) == bracket
+        assert list(by_stat["wald"]) == ["kind", "value", "estimator", "df", "p", "warnings", "stat"]
         printed = capsys.readouterr().out
         assert "pearson:" in printed and "p=[" in printed
 

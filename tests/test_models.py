@@ -50,11 +50,17 @@ class TestDataset:
             Dataset(y=[1.0], x=[[0.0], [1.0]])
         with pytest.raises(InvalidArgumentError):
             Dataset(y=[], x=np.empty((0, 1)))
-        # ragged, non-numeric and complex arrays are refused as the package's error
-        for bad in ([[0.0], [0.0, 1.0]], [["a"], [1.0]], [[{}], [1.0]], np.array([[1 + 2j], [3j]])):
+        # ragged, non-numeric, complex, text and object arrays are refused as the package's error
+        for bad in (
+            [[0.0], [0.0, 1.0]], [["a"], [1.0]], [[{}], [1.0]], np.array([[1 + 2j], [3j]]),
+            [["0.5"], ["1e3"]], [[b"0.5"], [b"1e3"]], np.array([[0.5], [1e3]], dtype=object),
+        ):
             with pytest.raises(InvalidArgumentError, match="x must be a rectangular array"):
                 Dataset(y=[1.0, 2.0], x=bad)
-        for bad in ([1.0, [2.0, 3.0]], ["a", 1.0], [{}, 1.0], np.array([1.0, 2.0 + 0j])):
+        for bad in (
+            [1.0, [2.0, 3.0]], ["a", 1.0], [{}, 1.0], np.array([1.0, 2.0 + 0j]),
+            ["1.5", "2"], [b"1.5", b"2"], np.array([1.5, 2.0], dtype=object),
+        ):
             with pytest.raises(InvalidArgumentError, match="y must be a rectangular array"):
                 Dataset(y=bad, x=[[0.0], [1.0]])
 

@@ -52,9 +52,13 @@ class TestCell:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidArgumentError):
             Partition(np.array([[1.0]]), np.array([[0.0]]), "fixed")
-        # ragged, non-numeric and complex bounds and points are refused as the package's error
+        # ragged, non-numeric, complex, text and object bounds and points are refused
+        # as the package's error
         part = Partition([[0.0]], [[1.0]])
-        for bad in ([[0.0], [0.0, 1.0]], [["a"]], [[{}]], np.array([[0.5 + 2j]]), [[0.5j]]):
+        for bad in (
+            [[0.0], [0.0, 1.0]], [["a"]], [[{}]], np.array([[0.5 + 2j]]), [[0.5j]],
+            [[" -inf "]], [["1e0"]], [[b"0.5"]], np.array([[0.5]], dtype=object),
+        ):
             with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
                 Partition(bad, [[1.0]])
             with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):

@@ -196,11 +196,20 @@ class TestRunTest:
         assert p_lo == pytest.approx(chisq_sf(rep.value, 11), abs=1e-15)
         assert p_hi == pytest.approx(chisq_sf(rep.value, 15), abs=1e-15)
         assert p_lo <= p_hi
+        # with no parameter the bracket closes to a point
+        rep = run_test("pearson", t, "raw_mle", p=0)
+        assert rep.df == 15 and rep.df_interval is None and rep.p_interval is None
+        assert rep.p_value == chisq_sf(rep.value, 15)
+        assert rep == dataclasses.replace(run_test("pearson", t), estimator="raw_mle")
 
     def test_min_chisq_point_df(self):
         t = self._big_table()
         rep = run_test("lr", t, "min_chisq", p=4)
         assert rep.df == 11 and rep.p_interval is None
+        # a point df below 1 on a nonzero statistic has no p-value (known theta
+        # cannot get there: its df J(L-1) is below 1 only when every statistic is 0)
+        with pytest.raises(InvalidDfError, match=r"^df must be >= 1 for a p-value, got 0$"):
+            run_test("pearson", _table([[6, 4], [4, 6]]), "min_chisq", p=2)
 
     def test_interval_rejection_rule(self):
         r = Report(
@@ -244,7 +253,9 @@ class TestRunTest:
 
     def test_bracket_floor_error(self):
         t = _table([[6, 4], [4, 6]])
-        with pytest.raises(InvalidDfError):
+        with pytest.raises(
+            InvalidDfError, match=r"^lower df endpoint must be >= 1, got 0 \(base 2, p 2\)$"
+        ):
             run_test("pearson", t, "raw_mle", p=2)
 
     def test_argument_validation(self):
