@@ -16,8 +16,10 @@ cell. The normal special functions come from the standard library.
   within 3.6 ulp of mpmath at every interior threshold of balanced_grid(L)
   for L <= 64 and at i/T for T <= 8.
 - _chisq_sf_scalar: regularized upper incomplete gamma Q(df/2, x/2) via a
-  lower-tail power series for small x and a Lentz-style continued fraction
-  for the upper tail; chisq_sf states its measured accuracy.
+  lower-tail power series for small x and, for the upper tail, Cephes'
+  igamc continued fraction evaluated by its three-term recurrence, with
+  numerator and denominator rescaled together against overflow; chisq_sf
+  states its measured accuracy.
 """
 
 from __future__ import annotations
@@ -41,10 +43,7 @@ def _chisq_sf_scalar(x: float, df: float) -> float:
     lf = a * math.log(x2) - x2 - math.lgamma(a)
     if x < df + 1.0:
         # lower-tail power series, complemented
-        if lf < -745.0:
-            fac = 0.0
-        else:
-            fac = math.exp(lf)
+        fac = math.exp(lf)
         r = a
         c = 1.0
         s = 1.0

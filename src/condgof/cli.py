@@ -163,28 +163,19 @@ def _parse_theta(raw: str, expected: int) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _parse_stats(raw: str) -> list[str]:
+def _parse_names(flag: str, what: str, raw: str) -> list[str]:
+    """The comma-separated names of a flag; at least one, each once."""
     names = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not names or len(set(names)) != len(names):
-        raise UsageError(f"--stats must name at least one statistic, each once; got {raw!r}")
-    for nm in names:
-        if nm not in STATISTICS:
-            raise UsageError(f"unknown statistic {nm!r}; choices: {','.join(STATISTICS)}")
+        raise UsageError(f"{flag} must name at least one {what}, each once; got {raw!r}")
     return names
 
 
-def _parse_x(raw: str) -> list[str]:
-    x_cols = [c.strip() for c in raw.split(",") if c.strip()]
-    if not x_cols or len(set(x_cols)) != len(x_cols):
-        raise UsageError(f"--x must name at least one column, each once; got {raw!r}")
-    return x_cols
-
-
 def _check_int_flags(args, **minimums: int) -> None:
-    """Usage error for an integer flag below its minimum (None means unset)."""
+    """Usage error for an integer flag below its minimum."""
     for name, lo in minimums.items():
         value = getattr(args, name)
-        if value is not None and value < lo:
+        if value < lo:
             raise UsageError(f"--{name} must be >= {lo}, got {value}")
 
 
@@ -234,8 +225,11 @@ def _data_partition(rule: str, x: np.ndarray, T: int, r: int, seed: int):
 
 
 def cmd_test(args) -> int:
-    x_cols = _parse_x(args.x)
-    stats = _parse_stats(args.stats)
+    x_cols = _parse_names("--x", "column", args.x)
+    stats = _parse_names("--stats", "statistic", args.stats)
+    for name in stats:
+        if name not in STATISTICS:
+            raise UsageError(f"unknown statistic {name!r}; choices: {','.join(STATISTICS)}")
     _check_int_flags(args, L=1, T=2, r=1, seed=0)
     estimator = _ESTIMATOR_FLAGS[args.estimator]
     if args.theta is not None and estimator != "known":
@@ -246,7 +240,6 @@ def cmd_test(args) -> int:
     data = Dataset(y=y, x=x)
     model = resolve_model(args.model, data.k)
 
-    seed = 0 if args.seed is None else args.seed
     cells = None
     if args.partition_file:
         partition = _read_partition_file(args.partition_file)
@@ -256,7 +249,7 @@ def cmd_test(args) -> int:
             )
         desc = {"kind": "file", "path": args.partition_file}
     else:
-        partition, cells, desc = _data_partition(args.partition, data.x, args.T, args.r, seed)
+        partition, cells, desc = _data_partition(args.partition, data.x, args.T, args.r, args.seed)
 
     theta = None
     if estimator == "known":
@@ -279,7 +272,7 @@ def cmd_test(args) -> int:
             estimator,
             stats,
             theta,
-            seed,
+            args.seed,
         )
     except OutOfSupportError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
@@ -297,7 +290,7 @@ def cmd_test(args) -> int:
             "L": args.L,
             "partition": desc,
             "stats": stats,
-            "seed": seed,
+            "seed": args.seed,
         },
         "table": {
             "O": table.O.tolist(),
@@ -338,11 +331,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    x_cols = _parse_x(args.x)
+    x_cols = _parse_names("--x", "column", args.x)
     _check_int_flags(args, T=2, r=1, seed=0)
     _y, x = read_csv_columns(args.data, None, x_cols)
-    seed = 0 if args.seed is None else args.seed
-    part, cells, _desc = _data_partition(args.rule, x, args.T, args.r, seed)
+    part, cells, _desc = _data_partition(args.rule, x, args.T, args.r, args.seed)
     counts = np.bincount(cells, minlength=part.J)
     doc = {
         "version": __version__,
@@ -353,7 +345,7 @@ def cmd_partition(args) -> int:
             "rule": args.rule,
             "T": args.T,
             "r": args.r,
-            "seed": seed,
+            "seed": args.seed,
         },
         "partition": partition_to_dict(part),
         "counts": counts.tolist(),
@@ -400,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument("--T", type=int, default=2, help="children per split")
     p_test.add_argument("--r", type=int, default=1, help="splits per axis (rtp)")
-    p_test.add_argument("--seed", type=int, default=None, help="partition seed (default 0)")
+    p_test.add_argument("--seed", type=int, default=0, help="partition seed (default 0)")
     p_test.add_argument("--stats", default="pearson,lr,wald")
     p_test.add_argument("--partition-file", help="reuse a serialized partition")
     p_test.add_argument("--out", help="write the JSON report here")
@@ -417,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_part.add_argument("--rule", choices=("grid", "gessaman", "rtp"), default="gessaman")
     p_part.add_argument("--T", type=int, default=2)
     p_part.add_argument("--r", type=int, default=1)
-    p_part.add_argument("--seed", type=int, default=None)
+    p_part.add_argument("--seed", type=int, default=0)
     p_part.add_argument("--out", help="write the JSON document here")
     p_part.set_defaults(func=cmd_partition)
     return parser

@@ -14,7 +14,9 @@ experiment with more than 5% failures raises ExperimentInvalidError.
 
 Documents are the dataclasses' own fields. A config holds fields of SimConfig
 only, its dgp and partition those of DgpSpec and PartitionRule; an absent field
-takes its default. config_to_dict and SimResult.to_dict are dataclasses.asdict.
+takes its default, so dataclasses.asdict of a config reads back through
+config_from_dict. SimResult.to_dict is dataclasses.asdict with each failure
+written as an object with keys rep_index and reason.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .errors import (
     CondgofError,
     ExperimentInvalidError,
     InvalidArgumentError,
+    InvalidParameterError,
     OutOfSupportError,
     whole_fields,
 )
@@ -147,18 +150,22 @@ class SimConfig:
             raise InvalidArgumentError(
                 f"theta is used only by estimator 'known', not {self.estimator!r}"
             )
-        param_dim = resolve_model(self.model, self.dgp.k).param_dim
+        model = resolve_model(self.model, self.dgp.k)
         object.__setattr__(self, "stats", tuple(self.stats))
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
         if self.theta is not None:
             object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
             if not all(map(math.isfinite, self.theta)):
                 raise InvalidArgumentError(f"theta must be finite, got {self.theta}")
-            if len(self.theta) != param_dim:
+            if len(self.theta) != model.param_dim:
                 raise InvalidArgumentError(
-                    f"model {self.model!r} needs {param_dim} theta values, "
+                    f"model {self.model!r} needs {model.param_dim} theta values, "
                     f"got {len(self.theta)}"
                 )
+            try:
+                model.validate_theta(self.theta)
+            except InvalidParameterError as exc:
+                raise InvalidArgumentError(f"invalid theta: {exc}") from exc
 
 
 def law_grid_partition(law: str, k: int, T: int) -> Partition:
@@ -443,10 +450,6 @@ def calibrate_df(cfg: SimConfig) -> dict:
             "replications": n_eff,
         }
     return out
-
-
-def config_to_dict(cfg: SimConfig) -> dict:
-    return dataclasses.asdict(cfg)
 
 
 def _from_fields(cls, doc, section: str, problems: list[str]):

@@ -47,7 +47,6 @@ None or integers, checked like every integer argument by errors.as_integer.
 from __future__ import annotations
 
 import itertools
-import json
 import sys
 from dataclasses import dataclass, fields
 
@@ -184,10 +183,6 @@ def _split_node(rows, lo, up, cols: np.ndarray, axis: int, T: int) -> list:
     cuts = _split_cuts(sorted_vals, T)
     # + 0.0 turns a -0.0 threshold into 0.0, so no tie order shows in the output
     edges = [lo[axis]] + [float(sorted_vals[c - 1]) + 0.0 for c in cuts] + [up[axis]]
-    if any(edges[i] >= edges[i + 1] for i in range(T)):
-        raise InsufficientDataError(
-            "split thresholds are not strictly inside the cell bounds"
-        )
     stops = [0] + cuts + [rows.shape[0]]
     out = []
     for g in range(T):
@@ -393,14 +388,3 @@ def partition_from_dict(doc: dict) -> Partition:
     _require_disjoint(part)
     return part
 
-
-def partition_to_json(p: Partition) -> str:
-    return json.dumps(partition_to_dict(p), indent=2)
-
-
-def partition_from_json(text: str) -> Partition:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidArgumentError(f"invalid partition JSON: {exc}") from exc
-    return partition_from_dict(doc)

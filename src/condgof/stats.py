@@ -88,12 +88,15 @@ def lm_stat(table: ContingencyTable) -> float:
 
 
 def lr_stat(table: ContingencyTable) -> float:
-    """Likelihood ratio 2 * sum O * log(O / E), with 0 log 0 = 0."""
+    """Likelihood ratio 2 * sum O * log(O / E), with 0 log 0 = 0.
+
+    The sum is nonnegative (Gibbs' inequality); a rounding residue below 0 reads 0.0.
+    """
     E = _expected(table)
     O = table.O.astype(np.float64)
     pos = O > 0
     total = 2.0 * float((O[pos] * np.log(O[pos] / E[pos])).sum())
-    return total
+    return total if total > 0.0 else 0.0
 
 
 def has_zero_cells(table: ContingencyTable) -> bool:

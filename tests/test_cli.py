@@ -418,6 +418,7 @@ class TestSimulateCommand:
             ("levels", 0.05, "levels must be a list"),
             ("levels", ["0.05"], "levels must be a list"),
             ("levels", [True], "levels must be a list"),
+            ("theta", [0.5, 1.0, -0.7, -1.0], "invalid theta: gaussian_linear: sigma must be >="),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(
@@ -931,3 +932,35 @@ def test_imports_load_no_test_extra():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_commands_run_without_test_extra(gauss_csv, tmp_path):
+    # every subcommand runs in a child where the test extra cannot be imported
+    src = str(Path(condgof.__file__).resolve().parent.parent)
+    part, cfg = tmp_path / "part.json", tmp_path / "sim.json"
+    cfg.write_text(json.dumps({
+        "dgp": {"family": "gaussian_linear", "true_params": [0.5, 1.0, 1.0],
+                "covariate_law": "normal", "n": 100, "k": 1},
+        "model": "gaussian_linear", "estimator": "raw_mle", "L": 3,
+        "partition": {"kind": "rtp", "T": 2, "r": 1}, "stats": ["pearson", "lr", "wald"],
+        "replications": 3,
+    }))
+    test = ["test", "--data", gauss_csv, "--y", "y", "--x", "x1,x2", "--model", "gaussian_linear"]
+    commands = [
+        ["partition", "--data", gauss_csv, "--x", "x1,x2", "--out", str(part)],
+        test + ["--partition-file", str(part), "--out", str(tmp_path / "raw.json")],
+        test + ["--estimator", "grouped", "--out", str(tmp_path / "grouped.json")],
+        ["simulate", "--config", str(cfg), "--out", str(tmp_path / "out.json")],
+    ]
+    probe = (
+        "import json, sys\n"
+        "for m in ('scipy', 'mpmath', 'hypothesis', 'pytest'):\n"
+        "    sys.modules[m] = None\n"
+        "from condgof.cli import main\n"
+        "print([main(argv) for argv in json.loads(sys.argv[1])])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(commands)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.splitlines()[-1] == "[0, 0, 0, 0]", proc.stderr

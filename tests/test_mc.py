@@ -1,5 +1,7 @@
 """Simulation engine: reproducibility, aggregation, and df diagnostics."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -21,7 +23,7 @@ from condgof import (
     run_replication,
     simulate_dataset,
 )
-from condgof.mc import _build_partition, _rep_streams, config_to_dict, ks_uniform_distance
+from condgof.mc import _build_partition, _rep_streams, ks_uniform_distance
 
 NULL_DGP = DgpSpec(
     family="gaussian_linear",
@@ -105,6 +107,9 @@ class TestConfigValidation:
                 _known_cfg(**{field: value})
         with pytest.raises(InvalidArgumentError, match="theta must be finite"):
             _known_cfg(theta=(0.5, 1.0, float("nan"), 1.0))
+        for sigma in (-1.0, 0.0):  # a theta outside the family's constraint
+            with pytest.raises(InvalidArgumentError, match="invalid theta: .*sigma must be >="):
+                _known_cfg(theta=(0.5, 1.0, -0.7, sigma))
         with pytest.raises(InvalidArgumentError, match="true_params must be finite"):
             DgpSpec(family="gaussian_linear", true_params=(0, 1, "nan"),
                     covariate_law="uniform", n=10, k=1)
@@ -433,7 +438,7 @@ class TestConfigSerialization:
             levels=(0.05, 0.1),
             partition=PartitionRule(kind="rtp", T=2, r=2),
         )
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
 
     def test_raw_mle_round_trip_without_theta(self):
         cfg = SimConfig(
@@ -444,12 +449,12 @@ class TestConfigSerialization:
             partition=PartitionRule(kind="grid", T=2),
             replications=10,
         )
-        doc = config_to_dict(cfg)
+        doc = asdict(cfg)
         assert doc["theta"] is None
         assert config_from_dict(doc) == cfg
 
     def test_problems_listed_by_field(self):
-        doc = config_to_dict(_known_cfg())
+        doc = asdict(_known_cfg())
         doc["dgp"]["family"] = "weibull"
         doc["partition"]["kind"] = "voronoi"
         with pytest.raises(InvalidArgumentError) as exc:
@@ -458,7 +463,7 @@ class TestConfigSerialization:
         assert "dgp" in msg and "partition" in msg
 
     def test_unknown_and_missing_fields_named_section_by_section(self):
-        doc = config_to_dict(_known_cfg())
+        doc = asdict(_known_cfg())
         doc.update(level=[0.01], stat=["lr"], df_conventon="unconditional")
         doc["dgp"]["nn"] = 5
         del doc["dgp"]["k"]
@@ -474,7 +479,7 @@ class TestConfigSerialization:
 
     def test_absent_fields_take_dataclass_defaults(self):
         doc = {
-            "dgp": config_to_dict(_known_cfg())["dgp"],
+            "dgp": asdict(_known_cfg())["dgp"],
             "model": "gaussian_linear",
             "estimator": "raw_mle",
             "L": 4,

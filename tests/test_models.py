@@ -50,6 +50,13 @@ class TestDataset:
             Dataset(y=[1.0], x=[[0.0], [1.0]])
         with pytest.raises(InvalidArgumentError):
             Dataset(y=[], x=np.empty((0, 1)))
+        for y, x, message in (
+            ([[1.0], [2.0]], [[0.0], [1.0]], "y must be 1-d"),
+            ([1.0, 2.0], np.empty((2, 0)), "x must have at least one column"),
+            ([1.0, 2.0], [[0.0], [np.inf]], "x contains non-finite"),
+        ):
+            with pytest.raises(InvalidArgumentError, match=message):
+                Dataset(y=y, x=x)
         # ragged, non-numeric, complex, text and object arrays are refused as the package's error
         for bad in (
             [[0.0], [0.0, 1.0]], [["a"], [1.0]], [[{}], [1.0]], np.array([[1 + 2j], [3j]]),
@@ -267,6 +274,8 @@ class TestResponseBins:
         with np.errstate(invalid="ignore"):
             with pytest.raises(ModelEvaluationError):
                 response_bins(model, (800.0, 0.0), data, edges)
+            with pytest.raises(ModelEvaluationError, match="model cdf produced non-finite"):
+                rosenblatt(model, (800.0, 0.0), data)
 
     def test_overflowed_rate_is_silent_and_bins_last(self):
         model = ExponentialRegressionModel(k=1)

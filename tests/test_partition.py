@@ -1,6 +1,7 @@
 """Partition constructors: balance bounds, determinism, and serialization."""
 
 import hashlib
+import json
 import math
 import re
 from unittest import mock
@@ -25,11 +26,14 @@ from condgof.partition import (
     _marginal_grid,
     _rtp,
     partition_from_dict,
-    partition_from_json,
     partition_to_dict,
-    partition_to_json,
     product_partition,
 )
+
+
+def _json_text(part):
+    """The partition's document as JSON text, the way the CLI writes it."""
+    return json.dumps(partition_to_dict(part), indent=2)
 
 
 def cell_counts(part, x):
@@ -48,10 +52,19 @@ class TestCell:
         assert part.locate0(np.array([[1.0, 1.0]])).tolist() == [0]
         with pytest.raises(UncoveredPointError):
             part.locate0(np.array([[0.0, 0.5]]))
+        with pytest.raises(InvalidArgumentError, match="points have dimension 3, partition has 2"):
+            part.locate0(np.zeros((1, 3)))
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(InvalidArgumentError):
             Partition(np.array([[1.0]]), np.array([[0.0]]), "fixed")
+        for lower, upper, origin, message in (
+            ([[0.0]], [[1.0]], "voronoi", "unknown partition origin 'voronoi'"),
+            (np.empty((0, 1)), np.empty((0, 1)), "fixed", "at least one cell"),
+            ([[np.nan]], [[1.0]], "fixed", "must not be NaN"),
+        ):
+            with pytest.raises(InvalidArgumentError, match=message):
+                Partition(lower, upper, origin)
         # ragged, non-numeric, complex, text and object bounds and points are refused
         # as the package's error
         part = Partition([[0.0]], [[1.0]])
@@ -105,6 +118,8 @@ class TestGessaman:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             gessaman_partition(_uniform(7, 3, 2), 2)  # needs 8
+        with pytest.raises(InsufficientDataError, match="need at least T = 3 points, got 2"):
+            marginal_grid_partition(_uniform(2, 2, 2), 3)
         x = _uniform(20, 2, 2)
         for T in (2.5, 2.0, np.float64(2.0), "2", 1):
             with pytest.raises(InvalidArgumentError, match="T must be an integer >= 2"):
@@ -115,6 +130,9 @@ class TestGessaman:
             for build in (gessaman_partition, marginal_grid_partition):
                 with pytest.raises(InvalidArgumentError, match="rectangular array of numbers"):
                     build(bad, 2)
+        for build in (gessaman_partition, marginal_grid_partition):
+            with pytest.raises(InvalidArgumentError, match="covariates contain non-finite"):
+                build(np.vstack([x, [[0.0, np.inf]]]), 2)
 
     def test_duplicate_heavy_data(self):
         x = np.array([[0.0]] * 7 + [[1.0]] * 5)
@@ -422,13 +440,13 @@ class TestSerialization:
     def test_round_trip_rtp_json(self):
         x = _uniform(90, 3, 17)
         part, _ = rtp_partition(x, 2, 2, seed=99)
-        clone = partition_from_json(partition_to_json(part))
+        clone = partition_from_dict(json.loads(_json_text(part)))
         assert clone == part
         assert clone.seed == 99 and clone.T == 2 and clone.r == 2
 
     def test_infinite_bounds_survive(self):
         part, _ = rtp_partition(_uniform(50, 1, 18), 2, 1, seed=0)
-        clone = partition_from_json(partition_to_json(part))
+        clone = partition_from_dict(json.loads(_json_text(part)))
         assert np.isneginf(clone.lower[:, 0]).any()
         assert np.isposinf(clone.upper[:, 0]).any()
 
@@ -499,7 +517,7 @@ def _pinned_cases():
 
 
 class TestPinnedDocuments:
-    # sha256 of partition_to_json for each case: a seeded build must write
+    # sha256 of _json_text for each case: a seeded build must write
     # the same document in every version, so these change only on purpose
     DIGESTS = {
         "gessaman_T2": "c35259d2565853a822e973c3229f572d0c3b626ba9b5fad7760522cdc7253cf9",
@@ -525,7 +543,7 @@ class TestPinnedDocuments:
 
     def test_documents_unchanged(self):
         got = {
-            name: hashlib.sha256(partition_to_json(part).encode()).hexdigest()
+            name: hashlib.sha256(_json_text(part).encode()).hexdigest()
             for name, part in _pinned_cases()
         }
         assert got == self.DIGESTS
@@ -619,7 +637,7 @@ def _outcome(build):
         part, axes = build()
     except InsufficientDataError as exc:
         return type(exc), str(exc)
-    return partition_to_json(part), None if axes is None else axes.tolist()
+    return _json_text(part), None if axes is None else axes.tolist()
 
 
 class TestSplitOracle:

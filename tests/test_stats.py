@@ -67,6 +67,12 @@ class TestPointStatistics:
         )
         assert float(oracle) == pytest.approx(0.8054205420275552, abs=1e-15)
         assert lr_stat(TAB_2X2) == pytest.approx(float(oracle), abs=1e-13)
+        # tables that fit exactly: the sum's rounding residue below 0 reads 0
+        for O in (np.full((3, 2), 3), np.ones((5, 2))):
+            t = _table(O)
+            assert math.copysign(1.0, lr_stat(t)) == 1.0 and lr_stat(t) == 0.0
+            rep = run_test("lr", t, "min_chisq", p=3)
+            assert (rep.value, rep.p_value) == (0.0, 1.0)
 
     def test_neyman_hand_value(self):
         # 2/6 + 2/4 = 5/6
@@ -360,6 +366,24 @@ class TestWaldRawMle:
             )
         with pytest.raises(SingularInformationError):
             wald_raw_mle(table, _NoMoments(k=2), theta, data, part.locate0(data.x))
+
+        # non-finite moments are refused the same way, on both routes
+        class NanFactors(GaussianLinearModel):
+            def bin_score_means(self, x, thresholds, theta):
+                G, h = super().bin_score_means(x, thresholds, theta)
+                G[0, 0] = np.nan
+                return G, h
+
+        class InfScores(_NoMoments):
+            def score(self, y, x, theta):
+                s = super().score(y, x, theta)
+                s[0, 0] = np.inf
+                return s
+
+        table, _model, theta, data, _grid, part = self._fit()
+        for model, message in ((NanFactors(k=2), "model moment"), (InfScores(k=2), "score")):
+            with pytest.raises(SingularInformationError, match=f"{message} evaluation produced"):
+                wald_raw_mle(table, model, theta, data, part.locate0(data.x))
 
     def test_run_test_wald_report(self):
         table, model, theta, data, grid, part = self._fit()
