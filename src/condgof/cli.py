@@ -35,9 +35,9 @@ from .partition import (
     Partition,
     _gessaman,
     _marginal_grid,
-    _rtp,
     partition_from_dict,
     partition_to_dict,
+    rtp_partition,
 )
 from .stats import STATISTICS, TestReport
 from .tabulate import balanced_grid
@@ -53,39 +53,29 @@ def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
     """Columns y (n,) and x (n, len(x_cols)) of a numeric CSV, C-contiguous float64.
 
     y is None when y_col is None. The header row is required and every data
-    value must be a finite decimal float. Two readers give the same arrays:
-    np.loadtxt parses the wanted columns in bulk, and _read_csv_strict parses
-    every cell with Python's float(). The bulk parse runs when the file
-    decodes as UTF-8, holds no quote character (csv quoting could move a
-    field across a comma or a line break that loadtxt splits on) and its
-    header names each wanted column once. The strict reader runs instead
-    when any of that fails, and when loadtxt raises, warns, finds no rows or
-    returns a value that is not finite. So every error message comes from
-    the strict reader, and values float() accepts but loadtxt does not (such
-    as "1_0" or full-width digits) parse as float() parses them.
+    value must be a finite decimal float. Two readers give the same block of
+    the wanted columns: _read_csv_bulk parses them with np.loadtxt, and
+    _read_csv_strict parses every cell with Python's float(). The bulk parse
+    runs when the file decodes as UTF-8, holds no quote character (csv
+    quoting could move a field across a comma or a line break that loadtxt
+    splits on) and its header names each wanted column once. The strict
+    reader runs instead when any of that fails, and when loadtxt raises,
+    warns, finds no rows or returns a value that is not finite. So every
+    error message comes from the strict reader, and values float() accepts
+    but loadtxt does not (such as "1_0" or full-width digits) parse as
+    float() parses them.
     """
     wanted = list(dict.fromkeys(([y_col] if y_col else []) + list(x_cols)))
-    usecols = _bulk_columns(path, wanted)
-    if usecols is None:
-        return _read_csv_strict(path, y_col, x_cols)
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            values = np.loadtxt(
-                path, delimiter=",", skiprows=1, usecols=usecols, comments=None,
-                quotechar=None, ndmin=2, encoding="utf-8",
-            )
-    except (OSError, ValueError):
-        return _read_csv_strict(path, y_col, x_cols)
-    if caught or values.shape[0] == 0 or not np.isfinite(values).all():
-        return _read_csv_strict(path, y_col, x_cols)
+    values = _read_csv_bulk(path, wanted)
+    if values is None:
+        values = _read_csv_strict(path, wanted)
     y = np.ascontiguousarray(values[:, 0]) if y_col else None
     x = np.ascontiguousarray(values[:, [wanted.index(c) for c in x_cols]]) if x_cols else None
     return y, x
 
 
-def _bulk_columns(path: str, wanted: list[str]) -> list[int] | None:
-    """Header positions of the wanted columns, or None when only the strict reader may run."""
+def _read_csv_bulk(path: str, wanted: list[str]) -> np.ndarray | None:
+    """The wanted columns parsed by np.loadtxt, or None when the strict reader must run."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             first = fh.readline()
@@ -98,11 +88,22 @@ def _bulk_columns(path: str, wanted: list[str]) -> list[int] | None:
     header = [h.strip() for h in next(csv.reader([first]), [])]
     if any(header.count(col) != 1 for col in wanted):
         return None
-    return [header.index(col) for col in wanted]
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values = np.loadtxt(
+                path, delimiter=",", skiprows=1, usecols=[header.index(c) for c in wanted],
+                comments=None, quotechar=None, ndmin=2, encoding="utf-8",
+            )
+    except (OSError, ValueError):
+        return None
+    if caught or values.shape[0] == 0 or not np.isfinite(values).all():
+        return None
+    return values
 
 
-def _read_csv_strict(path: str, y_col: str | None, x_cols: list[str]):
-    """Strict numeric CSV reader: header required, finite decimal floats only."""
+def _read_csv_strict(path: str, wanted: list[str]) -> np.ndarray:
+    """The wanted columns of a strict numeric CSV: header required, finite decimal floats only."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -111,20 +112,17 @@ def _read_csv_strict(path: str, y_col: str | None, x_cols: list[str]):
             except StopIteration:
                 raise DataError(f"{path}: empty file, header row required") from None
             header = [h.strip() for h in header]
-            wanted = list(dict.fromkeys(([y_col] if y_col else []) + list(x_cols)))
-            positions = {}
             for col in wanted:
                 if col not in header:
                     raise DataError(f"{path}: missing column {col!r}; header is {header}")
                 if header.count(col) > 1:
                     raise DataError(f"{path}: column {col!r} appears more than once in the header")
-                positions[col] = header.index(col)
-            rows = {col: [] for col in wanted}
+            positions = [header.index(col) for col in wanted]
+            columns = [[] for _ in wanted]
             # row i is data row i counted from 0, header and blank lines not counted
             data_rows = (row for row in reader if row and (len(row) > 1 or row[0].strip()))
             for i, row in enumerate(data_rows):
-                for col in wanted:
-                    pos = positions[col]
+                for col, pos, column in zip(wanted, positions, columns):
                     if pos >= len(row):
                         raise DataError(f"{path}: row {i} has no column {col!r}")
                     raw = row[pos].strip()
@@ -138,9 +136,8 @@ def _read_csv_strict(path: str, y_col: str | None, x_cols: list[str]):
                         raise DataError(
                             f"{path}: row {i}, column {col!r}: non-finite value {raw!r}"
                         )
-                    rows[col].append(val)
-            n = len(rows[wanted[0]]) if wanted else 0
-            if n == 0:
+                    column.append(val)
+            if not columns or not columns[0]:
                 raise DataError(f"{path}: no data rows")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
@@ -148,9 +145,7 @@ def _read_csv_strict(path: str, y_col: str | None, x_cols: list[str]):
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
     except csv.Error as exc:  # such as a field over csv's size limit
         raise DataError(f"{path}: malformed CSV: {exc}") from None
-    y = np.asarray(rows[y_col]) if y_col else None
-    x = np.column_stack([rows[c] for c in x_cols]) if x_cols else None
-    return y, x
+    return np.column_stack(columns)
 
 
 def _parse_theta(raw: str, expected: int) -> np.ndarray:
@@ -219,7 +214,7 @@ def _read_partition_file(path: str) -> Partition:
 def _data_partition(rule: str, x: np.ndarray, T: int, r: int, seed: int):
     """(partition, cell of each row of x, description) under the gessaman, rtp or grid rule."""
     if rule == "rtp":
-        return (*_rtp(x, T, r, seed)[:2], {"kind": "rtp", "T": T, "r": r, "seed": seed})
+        return (*rtp_partition(x, T, r, seed), {"kind": "rtp", "T": T, "r": r, "seed": seed})
     build = _gessaman if rule == "gessaman" else _marginal_grid
     return (*build(x, T), {"kind": rule, "T": T})
 

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
 from .models import ConditionalModel, Dataset, resolve_model, response_bins
-from .partition import Partition, _gessaman, _rtp, product_partition
+from .partition import Partition, _gessaman, product_partition, rtp_partition
 from .stats import (
     ESTIMATORS,
     STATISTICS,
@@ -231,7 +231,7 @@ def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> tuple:
         return part, part.locate0(x)
     if rule.kind == "gessaman":
         return _gessaman(x, rule.T)
-    return _rtp(x, rule.T, rule.r, part_seed)[:2]
+    return rtp_partition(x, rule.T, rule.r, part_seed)
 
 
 def run_pipeline(

@@ -18,7 +18,7 @@ constructions are provided, each producing cells that tile R^k exactly:
   are J = 1 + k*r*(T - 1) terminal cells, in creation order. The
   most-points selection rule keeps counts within max <= T*min + 1, and when
   k*r = (T^q - 1)/(T-1) every terminal sits at depth q and counts differ by
-  at most 1. It returns (partition, split_axes), the drawn axes in order.
+  at most 1.
 
 - marginal_grid_partition: the product of per-axis equal-count slices.
 
@@ -35,9 +35,10 @@ impossible and InsufficientDataError is raised. A built partition depends
 only on the covariate values, not on the order of the rows: a zero
 threshold is written 0.0, whichever sign its points' zeros carry.
 
-The private builders _gessaman, _rtp and _marginal_grid also return each
-row's cell, read off the build's row sets; like locate0 they follow lower <
-x <= upper, so a value equal to a threshold is in the left cell.
+rtp_partition and the private builders _gessaman and _marginal_grid return
+(partition, cells), each row's cell read off the build's row sets; like
+locate0 they follow lower < x <= upper, so a value equal to a threshold is
+in the left cell.
 
 A partition document holds cells (each only lower and upper), origin, seed,
 T and r, and partition_from_dict rejects any other key; seed, T and r are
@@ -274,33 +275,6 @@ def _equal_depth_counts(k: int, r: int, T: int) -> list[int]:
     return [base + 1] * extra + [base] * (k - extra)
 
 
-def _rtp(x, T: int, r: int, seed: int, equal_depth: bool = False) -> tuple:
-    pts = _builder_input(x, T=T, r=r, seed=seed)
-    n, k = pts.shape
-    counts = _equal_depth_counts(k, r, T) if equal_depth else [r] * k
-    pool = np.repeat(np.arange(k), counts).tolist()  # the axis multiset, sorted
-    J = 1 + len(pool) * (T - 1)
-    if n < J:
-        raise InsufficientDataError(f"need n >= J = {J} points, got {n}")
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cols = np.ascontiguousarray(pts.T)
-    terminals = [_whole_space(n, k)]  # (rows, lower, upper) in creation order
-    sizes = [n]  # point count of each terminal
-    split_axes = []
-    while pool:
-        # most points first; ties go to the earliest-created terminal
-        i = sizes.index(max(sizes))
-        axis = pool.pop(int(rng.integers(len(pool))))
-        split_axes.append(axis)
-        children = _split_node(*terminals.pop(i), cols, axis, T)
-        sizes.pop(i)
-        terminals.extend(children)
-        sizes.extend(child[0].shape[0] for child in children)
-    part, cells = _boxes_partition(terminals, n, origin="rtp", seed=seed, T=T, r=r)
-    return part, cells, np.array(split_axes, dtype=np.int64)
-
-
 def rtp_partition(
     x, T: int, r: int, seed: int, equal_depth: bool = False
 ) -> tuple[Partition, np.ndarray]:
@@ -310,11 +284,31 @@ def rtp_partition(
     Philox-seeded generator, so equal (x, T, r, seed) give equal output.
     With equal_depth=True the axis multiset is reshaped so the total number
     of splits is the smallest (T^q - 1)/(T - 1) >= k*r, which forces all
-    terminals to the same depth. Returns (partition, split_axes): the
-    partition's cells in creation order, and the int64 axes in draw order
-    (their bincount is the number of splits per axis).
+    terminals to the same depth. Returns (partition, cells): the partition's
+    cells in creation order, and the int64 0-based cell of each row of x.
     """
-    return _rtp(x, T, r, seed, equal_depth)[::2]  # the partition and split_axes
+    pts = _builder_input(x, T=T, r=r, seed=seed)
+    T, r = int(T), int(r)  # numpy integers would wrap around in J
+    n, k = pts.shape
+    counts = _equal_depth_counts(k, r, T) if equal_depth else [r] * k
+    J = 1 + sum(counts) * (T - 1)
+    if n < J:  # before the axis multiset exists, so an absurd r allocates nothing
+        raise InsufficientDataError(f"need n >= J = {J} points, got {n}")
+
+    pool = np.repeat(np.arange(k), counts).tolist()  # the axis multiset, sorted
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cols = np.ascontiguousarray(pts.T)
+    terminals = [_whole_space(n, k)]  # (rows, lower, upper) in creation order
+    sizes = [n]  # point count of each terminal
+    while pool:
+        # most points first; ties go to the earliest-created terminal
+        i = sizes.index(max(sizes))
+        axis = pool.pop(int(rng.integers(len(pool))))
+        children = _split_node(*terminals.pop(i), cols, axis, T)
+        sizes.pop(i)
+        terminals.extend(children)
+        sizes.extend(child[0].shape[0] for child in children)
+    return _boxes_partition(terminals, n, origin="rtp", seed=seed, T=T, r=r)
 
 
 def _bound_to_json(v: float):

@@ -329,3 +329,58 @@ def test_10_rosenblatt_uniformity_ks():
         passed += d < threshold
     print(f"[10] {passed}/100 below {threshold:.5f} (worst {worst:.5f})")
     assert passed >= 99
+
+
+HIGH_DIM_DGP = DgpSpec(
+    family="gaussian_linear",
+    true_params=(0.5,) + (0.3,) * 10 + (1.0,),
+    covariate_law="uniform",
+    n=2000,
+    k=10,
+)
+
+
+def _high_dim_config(estimator, stats, master_seed):
+    """rtp T = 2, r = 2 at k = 10: J = 21 cells, J(L - 1) = 84 table df."""
+    return SimConfig(
+        dgp=HIGH_DIM_DGP,
+        model="gaussian_linear",
+        estimator=estimator,
+        theta=HIGH_DIM_DGP.true_params if estimator == "known" else None,
+        L=5,
+        partition=PartitionRule(kind="rtp", T=2, r=2),
+        stats=stats,
+        levels=(0.05,),
+        replications=R,
+        master_seed=master_seed,
+    )
+
+
+def test_11_size_known_theta_high_dimension():
+    """Known-theta Pearson keeps its size with ten covariates.
+
+    LR is run and printed but not gated: with about 95 rows per cell its
+    mean is J(L - 1) times Williams' factor 1 + (L + 1)/(6 n_j), about
+    1.0105, and this design rejects 0.0675 at 5%, above BAND.
+    """
+    res = run_experiment(_high_dim_config("known", ("pearson", "lr"), 1011))
+    rates = {s: res.rate(s, 0.05) for s in ("pearson", "lr")}
+    print(f"[11] k = 10 size: {rates} band {BAND}, failed {res.failed}")
+    assert res.failed == 0
+    assert BAND[0] <= rates["pearson"] <= BAND[1], f"pearson rate outside {BAND}"
+
+
+def test_12_raw_mle_wald_high_dimension():
+    """Raw-MLE Wald with ten covariates: size in band, df J(L - 1) whatever p is."""
+    res = run_experiment(_high_dim_config("raw_mle", ("wald",), 1012))
+    rate = res.rate("wald", 0.05)
+    summ = res.summary("wald")
+    se = float(np.sqrt(summ.variance / (res.replications - res.failed)))
+    print(
+        f"[12] k = 10 wald rate {rate}; mean {summ.mean:.4f} vs reported df "
+        f"{summ.mean_df} (3se = {3 * se:.4f}), failed {res.failed}"
+    )
+    assert res.failed == 0
+    assert BAND[0] <= rate <= BAND[1], f"wald rate {rate} outside {BAND}"
+    assert summ.mean_df == 84
+    assert abs(summ.mean - summ.mean_df) <= 3.0 * se

@@ -685,6 +685,18 @@ class TestExitCodes:
         )
         assert code == 4
         assert "computation error" in capsys.readouterr().err
+        # an absurd r is refused by its cell count, before any array is sized by it
+        absurd_r = ["--data", str(path), "--x", "x1,x2", "--r", "1000000000000000000"]
+        for argv in (
+            ["test", *absurd_r, "--y", "y", "--model", "gaussian_linear"],
+            ["partition", *absurd_r, "--rule", "rtp"],
+        ):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err == (
+                "computation error: InsufficientDataError: "
+                "need n >= J = 2000000000000000001 points, got 6\n"
+            )
 
     @pytest.mark.parametrize(
         "text",
@@ -883,7 +895,7 @@ _CSV_CORPUS = {
 
 class TestCsvReaders:
     @pytest.mark.parametrize("case", sorted(_CSV_CORPUS))
-    def test_bulk_and_strict_readers_agree(self, tmp_path, case):
+    def test_bulk_and_strict_readers_agree(self, tmp_path, monkeypatch, case):
         content, y_col, x_cols = _CSV_CORPUS[case]
         path = tmp_path / f"{case}.csv"
         path.write_bytes(content)
@@ -894,7 +906,10 @@ class TestCsvReaders:
             except DataError as exc:
                 return str(exc)
 
-        strict, bulk = read(cli._read_csv_strict), read(read_csv_columns)
+        bulk = read(read_csv_columns)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_csv_bulk", lambda *args: None)
+            strict = read(read_csv_columns)
         if isinstance(strict, str):
             assert bulk == strict
             return
@@ -909,7 +924,9 @@ class TestCsvReaders:
         content, y_col, x_cols = _CSV_CORPUS["seventeen_digits"]
         path = tmp_path / "plain.csv"
         path.write_bytes(content)
-        expected = cli._read_csv_strict(str(path), y_col, x_cols)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_csv_bulk", lambda *args: None)
+            expected = read_csv_columns(str(path), y_col, x_cols)
 
         def no_strict(*args):
             raise AssertionError("strict reader ran on a plain file")

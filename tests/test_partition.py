@@ -24,7 +24,6 @@ from condgof.mc import law_grid_partition
 from condgof.partition import (
     _gessaman,
     _marginal_grid,
-    _rtp,
     partition_from_dict,
     partition_to_dict,
     product_partition,
@@ -34,6 +33,11 @@ from condgof.partition import (
 def _json_text(part):
     """The partition's document as JSON text, the way the CLI writes it."""
     return json.dumps(partition_to_dict(part), indent=2)
+
+
+def splits_per_axis(part, T):
+    """Splits on each axis of a tree on distinct data: T - 1 new thresholds per split."""
+    return [np.unique(u[np.isfinite(u)]).size // (T - 1) for u in part.upper.T]
 
 
 def cell_counts(part, x):
@@ -170,10 +174,10 @@ class TestRtp:
             J = 1 + k * r * (T - 1)
             n = int(rng.integers(max(4 * J, 20), 8 * J + 40))
             x = rng.normal(0.0, 1.0, (n, k))
-            part, split_axes = rtp_partition(x, T, r, seed=seed)
+            part, cells = rtp_partition(x, T, r, seed=seed)
             assert part.J == J
-            assert split_axes.dtype == np.int64
-            assert np.bincount(split_axes, minlength=k).tolist() == [r] * k
+            assert cells.dtype == np.int64
+            assert splits_per_axis(part, T) == [r] * k
             counts = cell_counts(part, x)
             assert counts.sum() == n
             assert (counts > 0).all()
@@ -221,8 +225,8 @@ class TestRtp:
 
     def test_axis_budget_respected(self):
         x = _uniform(200, 2, 10)
-        _, split_axes = rtp_partition(x, 2, 3, seed=4)
-        assert np.bincount(split_axes, minlength=2).tolist() == [3, 3]
+        part, _ = rtp_partition(x, 2, 3, seed=4)
+        assert splits_per_axis(part, 2) == [3, 3]
 
     def test_t2_nonempty_at_n_equals_j(self):
         # n = J is the tight feasibility edge for binary splits
@@ -245,9 +249,9 @@ class TestRtp:
     def test_equal_depth_reshapes_budget(self):
         # kr = 2 with T = 2 is reshaped up to the smallest full tree, kr = 3
         x = _uniform(120, 2, 11)
-        part, split_axes = rtp_partition(x, 2, 1, seed=1, equal_depth=True)
+        part, _ = rtp_partition(x, 2, 1, seed=1, equal_depth=True)
         assert part.J == 4
-        assert int(np.bincount(split_axes, minlength=2).sum()) == 3
+        assert sum(splits_per_axis(part, 2)) == 3
 
     def test_cells_disjoint_and_covering(self):
         x = _uniform(150, 2, 12)
@@ -262,6 +266,13 @@ class TestRtp:
     def test_insufficient_points(self):
         with pytest.raises(InsufficientDataError):
             rtp_partition(_uniform(4, 2, 14), 2, 2, seed=0)  # J = 5 > n
+        # an absurd r or T is refused before the axis multiset is built
+        with pytest.raises(InsufficientDataError, match=r"J = 2000000000000000001 points, got 30"):
+            rtp_partition(_uniform(30, 2, 14), 2, 10**18, seed=0)
+        for T, r in ((2, np.int64(2**62)), (np.int64(2**62), 2)):
+            for equal_depth in (False, True):
+                with pytest.raises(InsufficientDataError, match="got 30"):
+                    rtp_partition(_uniform(30, 2, 14), T, r, seed=0, equal_depth=equal_depth)
         x = _uniform(30, 2, 14)
         bad = [
             dict(T=2, r=1, seed=-1),
@@ -621,23 +632,23 @@ def _oracle_data(seed):
 
 
 def _oracle_build(seed, kind, x, T, r):
-    """The build of _oracle_data as a callable returning (partition, split_axes or None)."""
+    """The build of _oracle_data as a callable returning (partition, cells)."""
     builders = {
         "rtp": lambda: rtp_partition(x, T, r, seed),
         "rtp_equal_depth": lambda: rtp_partition(x, T, r, seed, equal_depth=True),
-        "gessaman": lambda: (gessaman_partition(x, T), None),
-        "grid": lambda: (marginal_grid_partition(x, T), None),
+        "gessaman": lambda: _gessaman(x, T),
+        "grid": lambda: _marginal_grid(x, T),
     }
     return builders[kind]
 
 
 def _outcome(build):
-    """(document, split_axes) of a build, or the exception type and message it raised."""
+    """(document, cells) of a build, or the exception type and message it raised."""
     try:
-        part, axes = build()
+        part, cells = build()
     except InsufficientDataError as exc:
         return type(exc), str(exc)
-    return _json_text(part), None if axes is None else axes.tolist()
+    return _json_text(part), cells.tolist()
 
 
 class TestSplitOracle:
@@ -656,17 +667,11 @@ class TestSplitOracle:
 
     def test_build_cells_equal_locate0(self):
         # the cells a build hands over are exactly the ones locate0 finds
-        builders = {
-            "rtp": lambda x, T, r, seed: _rtp(x, T, r, seed)[:2],
-            "rtp_equal_depth": lambda x, T, r, seed: _rtp(x, T, r, seed, equal_depth=True)[:2],
-            "gessaman": lambda x, T, r, seed: _gessaman(x, T),
-            "grid": lambda x, T, r, seed: _marginal_grid(x, T),
-        }
         built = 0
         for seed in range(320):
             kind, x, T, r = _oracle_data(seed)
             try:
-                part, cells = builders[kind](x, T, r, seed)
+                part, cells = _oracle_build(seed, kind, x, T, r)()
             except InsufficientDataError:
                 continue
             assert cells.dtype == np.int64
@@ -676,7 +681,8 @@ class TestSplitOracle:
 
     def test_output_ignores_row_order_and_zero_signs(self):
         # a build reads only the covariate values: permuting the rows and
-        # flipping the sign of every zero must not move the document
+        # flipping the sign of every zero must not move the document, and
+        # each row must keep its cell
         zero_bounds = []
         for seed in range(320):
             kind, x, T, r = _oracle_data(seed)
@@ -684,7 +690,10 @@ class TestSplitOracle:
             shuffled = x[perm]
             shuffled[shuffled == 0.0] *= -1.0
             got = _outcome(_oracle_build(seed, kind, shuffled, T, r))
-            assert got == _outcome(_oracle_build(seed, kind, x, T, r)), f"config seed {seed}"
+            want = _outcome(_oracle_build(seed, kind, x, T, r))
+            if want[0] is not InsufficientDataError:  # row i of shuffled is row perm[i] of x
+                want = want[0], [want[1][i] for i in perm]
+            assert got == want, f"config seed {seed}"
             if got[0] is not InsufficientDataError:
                 zero_bounds += re.findall(r"^ +(-?0\.0),?$", got[0], re.MULTILINE)
         # zero thresholds are exercised, and each is written 0.0
