@@ -133,7 +133,7 @@ def chisq_sf(x: float, df) -> float:
     """
     df = float(df)
     x = float(x)
-    if df < 1.0 or df != math.floor(df):
+    if not 1.0 <= df < math.inf or df != math.floor(df):
         raise InvalidArgumentError(f"df must be a positive integer, got {df}")
     if math.isnan(x):
         raise InvalidArgumentError("x must not be NaN")

@@ -33,14 +33,13 @@ from .mc import config_from_dict, run_experiment, run_pipeline
 from .models import Dataset, resolve_model
 from .partition import (
     Partition,
-    _gessaman,
-    _marginal_grid,
+    gessaman_partition,
+    marginal_grid_partition,
     partition_from_dict,
     partition_to_dict,
     rtp_partition,
 )
 from .stats import STATISTICS, TestReport
-from .tabulate import balanced_grid
 
 _ESTIMATOR_FLAGS = {
     "known": "known",
@@ -207,7 +206,7 @@ def _read_partition_file(path: str) -> Partition:
         return partition_from_dict(doc)
     except OSError as exc:
         raise DataError(f"cannot open partition file {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or UTF-8, or a malformed document
+    except (ValueError, RecursionError) as exc:  # bad JSON (or too deep), UTF-8 or document
         raise DataError(f"{path}: invalid partition file: {exc}") from exc
 
 
@@ -215,7 +214,7 @@ def _data_partition(rule: str, x: np.ndarray, T: int, r: int, seed: int):
     """(partition, cell of each row of x, description) under the gessaman, rtp or grid rule."""
     if rule == "rtp":
         return (*rtp_partition(x, T, r, seed), {"kind": "rtp", "T": T, "r": r, "seed": seed})
-    build = _gessaman if rule == "gessaman" else _marginal_grid
+    build = gessaman_partition if rule == "gessaman" else marginal_grid_partition
     return (*build(x, T), {"kind": rule, "T": T})
 
 
@@ -263,7 +262,7 @@ def cmd_test(args) -> int:
             data,
             partition,
             cells,
-            balanced_grid(args.L),
+            args.L,
             estimator,
             stats,
             theta,
@@ -311,7 +310,7 @@ def cmd_simulate(args) -> int:
             cfg = config_from_dict(json.load(fh))
     except OSError as exc:
         raise UsageError(f"cannot open config {args.config}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or UTF-8, or an invalid config
+    except (ValueError, RecursionError) as exc:  # bad JSON (or too deep), UTF-8 or config
         raise UsageError(f"{args.config}: {exc}") from exc
     result = run_experiment(cfg)
     out_doc = dict(result.to_dict(), version=__version__)

@@ -33,14 +33,16 @@ from . import backend
 from .errors import (
     CondgofError,
     ExperimentInvalidError,
+    InsufficientDataError,
     InvalidArgumentError,
     InvalidParameterError,
     OutOfSupportError,
+    as_integer,
     whole_fields,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
 from .models import ConditionalModel, Dataset, resolve_model, response_bins
-from .partition import Partition, _gessaman, product_partition, rtp_partition
+from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import (
     ESTIMATORS,
     STATISTICS,
@@ -50,7 +52,7 @@ from .stats import (
     require_name,
     run_test,
 )
-from .tabulate import ContingencyTable, UGrid, balanced_grid, tabulate_cells
+from .tabulate import ContingencyTable, balanced_grid, tabulate_cells
 
 # family -> number of true parameters beyond k
 DGP_FAMILIES = {
@@ -230,7 +232,7 @@ def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> tuple:
         part = law_grid_partition(cfg.dgp.covariate_law, cfg.dgp.k, rule.T)
         return part, part.locate0(x)
     if rule.kind == "gessaman":
-        return _gessaman(x, rule.T)
+        return gessaman_partition(x, rule.T)
     return rtp_partition(x, rule.T, rule.r, part_seed)
 
 
@@ -239,7 +241,7 @@ def run_pipeline(
     data: Dataset,
     partition: Partition,
     cells: np.ndarray,
-    grid: UGrid,
+    L: int,
     estimator: str,
     stats: tuple[str, ...] | list[str],
     theta,
@@ -255,8 +257,11 @@ def run_pipeline(
     raise OutOfSupportError before anything is estimated. cells, each row's
     0-based cell, comes from the build of a data-dependent partition or from
     partition.locate0 for any other; the table and the raw-MLE Wald share
-    it. Returns (theta, table, reports by statistic name).
+    it. Returns (theta, table, reports by statistic name); needs n >= L.
     """
+    if as_integer("L", L, 1) > data.n:  # checked first, so an absurd L allocates nothing
+        raise InsufficientDataError(f"need n >= L = {L} points, got {data.n}")
+    grid = balanced_grid(L)
     below = np.flatnonzero(data.y < model.support_lower)
     if below.size:
         raise OutOfSupportError(
@@ -300,7 +305,7 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
             data,
             partition,
             cells,
-            balanced_grid(cfg.L),
+            cfg.L,
             cfg.estimator,
             cfg.stats,
             cfg.theta,

@@ -35,10 +35,9 @@ impossible and InsufficientDataError is raised. A built partition depends
 only on the covariate values, not on the order of the rows: a zero
 threshold is written 0.0, whichever sign its points' zeros carry.
 
-rtp_partition and the private builders _gessaman and _marginal_grid return
-(partition, cells), each row's cell read off the build's row sets; like
-locate0 they follow lower < x <= upper, so a value equal to a threshold is
-in the left cell.
+The data-dependent builders return (partition, cells), cells each row's int64
+0-based cell taken from the build; like locate0 they follow lower < x <= upper,
+so a value equal to a threshold is in the left cell.
 
 A partition document holds cells (each only lower and upper), origin, seed,
 T and r, and partition_from_dict rejects any other key; seed, T and r are
@@ -207,7 +206,12 @@ def _boxes_partition(boxes: list, n: int, **meta) -> tuple[Partition, np.ndarray
     return part, cells
 
 
-def _gessaman(x, T: int) -> tuple[Partition, np.ndarray]:
+def gessaman_partition(x, T: int) -> tuple[Partition, np.ndarray]:
+    """Recursive equal-count partition into J = T^k cells.
+
+    Needs at least T^k observations. With distinct coordinate values the
+    terminal counts differ by at most 1. Returns (partition, each row's cell).
+    """
     pts = _builder_input(x, T=T)
     n, k = pts.shape
     if n < T**k:
@@ -217,15 +221,6 @@ def _gessaman(x, T: int) -> tuple[Partition, np.ndarray]:
     for d in range(k):
         slabs = [child for slab in slabs for child in _split_node(*slab, cols, d, T)]
     return _boxes_partition(slabs, n, origin="gessaman", T=T)
-
-
-def gessaman_partition(x, T: int) -> Partition:
-    """Recursive equal-count partition into J = T^k cells.
-
-    Needs at least T^k observations. With distinct coordinate values the
-    terminal counts differ by at most 1.
-    """
-    return _gessaman(x, T)[0]
 
 
 def product_partition(edges: list[list[float]]) -> Partition:
@@ -239,7 +234,15 @@ def product_partition(edges: list[list[float]]) -> Partition:
     return Partition(np.array(lower), np.array(upper), origin="fixed", T=len(edges[0]) - 1)
 
 
-def _marginal_grid(x, T: int) -> tuple[Partition, np.ndarray]:
+def marginal_grid_partition(x, T: int) -> tuple[Partition, np.ndarray]:
+    """Product partition from per-axis marginal equal-count edges.
+
+    Each axis is cut independently at its own equal-count thresholds (same
+    ceil-first and last-point-left conventions as the recursive splits),
+    giving J = T^k cells. Unlike gessaman_partition the cuts of one axis do
+    not condition on the others, so this is the natural "grid" rule for raw
+    data with an unknown covariate law. Returns (partition, each row's cell).
+    """
     pts = _builder_input(x, T=T)
     n = pts.shape[0]
     if n < T:
@@ -252,18 +255,6 @@ def _marginal_grid(x, T: int) -> tuple[Partition, np.ndarray]:
         # slice i is (cuts[i-1], cuts[i]]; the last axis varies fastest, as in product_partition
         cells = cells * T + np.searchsorted(cuts, col, side="left")
     return product_partition(edges_per_axis), cells
-
-
-def marginal_grid_partition(x, T: int) -> Partition:
-    """Product partition from per-axis marginal equal-count edges.
-
-    Each axis is cut independently at its own equal-count thresholds (same
-    ceil-first and last-point-left conventions as the recursive splits),
-    giving J = T^k cells. Unlike gessaman_partition the cuts of one axis do
-    not condition on the others, so this is the natural "grid" rule for raw
-    data with an unknown covariate law.
-    """
-    return _marginal_grid(x, T)[0]
 
 
 def _equal_depth_counts(k: int, r: int, T: int) -> list[int]:

@@ -10,7 +10,18 @@ import numpy as np
 import pytest
 
 import condgof
-from condgof import DataError, Dataset, balanced_grid, cli, gessaman_partition, resolve_model
+from condgof import (
+    DataError,
+    Dataset,
+    DgpSpec,
+    PartitionRule,
+    SimConfig,
+    cli,
+    gessaman_partition,
+    mc,
+    resolve_model,
+    run_replication,
+)
 from condgof.cli import _ESTIMATOR_FLAGS, _report_to_dict, main, read_csv_columns
 from condgof.mc import run_pipeline
 
@@ -257,13 +268,13 @@ class TestTestCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         y, x = read_csv_columns(gauss_csv, "y", ["x1", "x2"])
-        part = gessaman_partition(x, 2)
+        part = gessaman_partition(x, 2)[0]
         theta, table, reports = run_pipeline(
             resolve_model("gaussian_linear", 2),
             Dataset(y=y, x=x),
             part,
             part.locate0(x),
-            balanced_grid(4),
+            4,
             _ESTIMATOR_FLAGS[flag],
             stats,
             None,
@@ -304,6 +315,41 @@ class TestPartitionCommand:
         bal = doc["balance"]
         assert bal["spread"] == bal["max"] - bal["min"]
         assert "J=5" in capsys.readouterr().out
+
+    def test_callers_look_up_the_public_builders(self, gauss_csv, monkeypatch):
+        # a profiler times each build by rebinding these module attributes
+        calls = []
+
+        def count_calls(module, name):
+            build = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(f"{module.__name__}.{name}")
+                return build(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count_calls(mc, "gessaman_partition")
+        count_calls(cli, "gessaman_partition")
+        count_calls(cli, "marginal_grid_partition")
+        cfg = SimConfig(
+            dgp=DgpSpec("gaussian_linear", (0.5, 1.0, -0.7, 1.0), "uniform", 100, 2),
+            model="gaussian_linear",
+            estimator="raw_mle",
+            L=4,
+            partition=PartitionRule(kind="gessaman", T=2),
+            stats=("pearson",),
+            replications=1,
+            master_seed=0,
+        )
+        assert run_replication(cfg, 0).error is None
+        for rule in ("gessaman", "grid"):
+            assert main(["partition", "--data", gauss_csv, "--x", "x1,x2", "--rule", rule]) == 0
+        assert calls == [
+            "condgof.mc.gessaman_partition",
+            "condgof.cli.gessaman_partition",
+            "condgof.cli.marginal_grid_partition",
+        ]
 
 
 class TestSimulateCommand:
@@ -371,7 +417,8 @@ class TestSimulateCommand:
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
-        for content in (b"{not json", b"\xff\xfe{}"):  # the second is not UTF-8
+        # the second is not UTF-8, the third nests deeper than json's recursion limit
+        for content in (b"{not json", b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000):
             path.write_bytes(content)
             assert main(["simulate", "--config", str(path)]) == 2
             err = capsys.readouterr().err
@@ -685,17 +732,19 @@ class TestExitCodes:
         )
         assert code == 4
         assert "computation error" in capsys.readouterr().err
-        # an absurd r is refused by its cell count, before any array is sized by it
-        absurd_r = ["--data", str(path), "--x", "x1,x2", "--r", "1000000000000000000"]
-        for argv in (
-            ["test", *absurd_r, "--y", "y", "--model", "gaussian_linear"],
-            ["partition", *absurd_r, "--rule", "rtp"],
+        # an absurd r or L is refused by the row count, before any array is sized by it
+        data = ["--data", str(path), "--x", "x1,x2"]
+        test = ["test", *data, "--y", "y", "--model", "gaussian_linear"]
+        absurd = "1000000000000000000"
+        for argv, need in (
+            ([*test, "--r", absurd], "J = 2000000000000000001"),
+            (["partition", *data, "--rule", "rtp", "--r", absurd], "J = 2000000000000000001"),
+            ([*test, "--L", absurd], f"L = {absurd}"),
         ):
             assert main(argv) == 4
             err = capsys.readouterr().err
             assert err == (
-                "computation error: InsufficientDataError: "
-                "need n >= J = 2000000000000000001 points, got 6\n"
+                f"computation error: InsufficientDataError: need n >= {need} points, got 6\n"
             )
 
     @pytest.mark.parametrize(
@@ -719,6 +768,7 @@ class TestExitCodes:
             '{"cells": [{"lower": ["-inf", "-inf"], "upper": ["inf", "Infinity"]}]}',
             # a one-dimensional partition for two covariates
             '{"cells": [{"lower": ["-inf"], "upper": ["inf"]}]}',
+            pytest.param("[" * 200000 + "]" * 200000, id="nested-beyond-recursion-limit"),
         ],
     )
     def test_unreadable_partition_file_exit_3(self, gauss_csv, tmp_path, capsys, text):

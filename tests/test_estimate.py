@@ -271,7 +271,7 @@ class TestMinChisq:
             y = 0.3 + rng.standard_normal(n)
             data = Dataset(y=y, x=x)
             m = LocationModel(k=1)
-            part = gessaman_partition(x, 2)
+            part, _ = gessaman_partition(x, 2)
             grid = balanced_grid(4)
 
             def obj(thv):
@@ -293,7 +293,7 @@ class TestMinChisq:
         model = GaussianLinearModel(k=data.k)
         theta0 = mle_gaussian_linear(data)
         grid = balanced_grid(4)
-        part = gessaman_partition(data.x, 2)
+        part, _ = gessaman_partition(data.x, 2)
 
         def obj(th):
             v = rosenblatt(model, th, data)
@@ -314,7 +314,7 @@ class TestMinChisq:
         data = Dataset(y=y, x=x)
         model = ExponentialRegressionModel(k=1)
         grid = balanced_grid(4)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(InvalidStartError):
                 min_chisq_estimate(
@@ -343,7 +343,7 @@ class TestMinChisq:
         data = Dataset(y=rng.standard_normal(80), x=x)
         with pytest.raises(TypeError, match="bug in the family"):
             min_chisq_estimate(
-                BrokenPivot(k=1), data, balanced_grid(4), gessaman_partition(x, 2),
+                BrokenPivot(k=1), data, balanced_grid(4), gessaman_partition(x, 2)[0],
                 np.array([0.0]), OptimizerConfig(restarts=0),
             )
 

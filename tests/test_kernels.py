@@ -210,3 +210,6 @@ class TestChisqSf:
             backend.chisq_sf(1.0, 0)
         with pytest.raises(InvalidArgumentError):
             backend.chisq_sf(1.0, 2.5)
+        for df in (float("inf"), float("nan")):
+            with pytest.raises(InvalidArgumentError, match="df must be a positive integer"):
+                backend.chisq_sf(1.0, df)

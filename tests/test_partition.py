@@ -22,8 +22,6 @@ from condgof import (
 from condgof.errors import InsufficientDataError, InvalidArgumentError, UncoveredPointError
 from condgof.mc import law_grid_partition
 from condgof.partition import (
-    _gessaman,
-    _marginal_grid,
     partition_from_dict,
     partition_to_dict,
     product_partition,
@@ -87,13 +85,13 @@ class TestCell:
 class TestGessaman:
     def test_k1_t3_n10_sizes(self):
         x = _uniform(10, 1, 0)
-        part = gessaman_partition(x, 3)
+        part, _ = gessaman_partition(x, 3)
         counts = sorted(cell_counts(part, x), reverse=True)
         assert counts == [4, 3, 3]
 
     def test_k2_t2_n8_even(self):
         x = _uniform(8, 2, 1)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         assert part.J == 4
         assert list(cell_counts(part, x)) == [2, 2, 2, 2]
 
@@ -106,7 +104,7 @@ class TestGessaman:
             if n < T**k:
                 continue
             x = rng.normal(0.0, 1.0, (n, k))
-            part = gessaman_partition(x, T)
+            part, _ = gessaman_partition(x, T)
             counts = cell_counts(part, x)
             assert part.J == T**k
             assert counts.sum() == n
@@ -114,7 +112,7 @@ class TestGessaman:
 
     def test_covers_space_beyond_sample(self):
         x = _uniform(50, 2, 5)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         probes = _uniform(500, 2, 6) * 10.0  # far outside the sample range
         idx = part.locate0(probes)
         assert (idx >= 0).all()
@@ -140,7 +138,7 @@ class TestGessaman:
 
     def test_duplicate_heavy_data(self):
         x = np.array([[0.0]] * 7 + [[1.0]] * 5)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         counts = cell_counts(part, x)
         # all duplicates of the splitting value go left
         assert sorted(counts) == [5, 7]
@@ -151,7 +149,7 @@ class TestGessaman:
 class TestMarginalGrid:
     def test_cell_count_and_cover(self):
         x = _uniform(100, 2, 7)
-        part = marginal_grid_partition(x, 3)
+        part, _ = marginal_grid_partition(x, 3)
         assert part.J == 9
         assert part.origin == "fixed"
         assert (part.locate0(x) >= 0).all()
@@ -159,8 +157,8 @@ class TestMarginalGrid:
     def test_k1_matches_gessaman(self):
         # with one axis both rules are equal-count slicing
         x = _uniform(60, 1, 8)
-        a = cell_counts(marginal_grid_partition(x, 3), x)
-        b = cell_counts(gessaman_partition(x, 3), x)
+        a = cell_counts(marginal_grid_partition(x, 3)[0], x)
+        b = cell_counts(gessaman_partition(x, 3)[0], x)
         assert sorted(a) == sorted(b)
 
 
@@ -300,7 +298,7 @@ class TestRtp:
 class TestLocate:
     def test_boundary_points_belong_left(self):
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         # threshold sits at the last point of the left group: cells are right-closed
         j = part.locate0(np.array([1.0, 2.0, 2.0000001, 4.0]))
         assert j[0] == j[1] != j[2] == j[3]
@@ -342,8 +340,8 @@ def _built(kind, x, T, r, seed):
     if kind == "rtp":
         return rtp_partition(x, T, r, seed)[0]
     if kind == "gessaman":
-        return gessaman_partition(x, T)
-    return marginal_grid_partition(x, T)
+        return gessaman_partition(x, T)[0]
+    return marginal_grid_partition(x, T)[0]
 
 
 class TestLocateTable:
@@ -443,7 +441,7 @@ class TestLocateTable:
 class TestSerialization:
     def test_round_trip_gessaman(self):
         x = _uniform(90, 2, 16)
-        part = gessaman_partition(x, 3)
+        part, _ = gessaman_partition(x, 3)
         clone = partition_from_dict(partition_to_dict(part))
         assert clone == part
         assert np.array_equal(clone.locate0(x), part.locate0(x))
@@ -514,9 +512,9 @@ def _pinned_cases():
     x2 = _uniform(240, 2, 21)
     x3 = _uniform(300, 3, 22)
     dup = np.round(_uniform(240, 2, 23), 1)  # heavy duplicates
-    yield "gessaman_T2", gessaman_partition(x3, 2)
-    yield "gessaman_T3", gessaman_partition(x2, 3)
-    yield "grid_T3", marginal_grid_partition(x3, 3)
+    yield "gessaman_T2", gessaman_partition(x3, 2)[0]
+    yield "gessaman_T3", gessaman_partition(x2, 3)[0]
+    yield "grid_T3", marginal_grid_partition(x3, 3)[0]
     yield "law_normal", law_grid_partition("normal", 2, 3)
     yield "law_uniform", law_grid_partition("uniform", 3, 2)
     for T in (2, 3):
@@ -636,8 +634,8 @@ def _oracle_build(seed, kind, x, T, r):
     builders = {
         "rtp": lambda: rtp_partition(x, T, r, seed),
         "rtp_equal_depth": lambda: rtp_partition(x, T, r, seed, equal_depth=True),
-        "gessaman": lambda: _gessaman(x, T),
-        "grid": lambda: _marginal_grid(x, T),
+        "gessaman": lambda: gessaman_partition(x, T),
+        "grid": lambda: marginal_grid_partition(x, T),
     }
     return builders[kind]
 

@@ -94,7 +94,7 @@ class TestBinV:
     def test_domain_checked(self):
         g = balanced_grid(2)
         x = np.array([-0.5, -0.25, 0.25, 0.5])
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         for bad in (-0.01, 1.01, np.nan):
             with pytest.raises(InvalidArgumentError):
                 cross_classify(np.array([0.1, bad, 0.5, 0.9]), x, g, part)
@@ -120,7 +120,7 @@ class TestCrossClassify:
     def test_hand_example(self):
         # x < 0 lands in cell 1, x >= 0 in cell 2 after a median cut at 0
         x = np.array([-0.5, -0.25, 0.25, 0.5])
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         v = np.array([0.1, 0.9, 0.1, 0.9])
         table = cross_classify(v, x, balanced_grid(2), part)
         np.testing.assert_array_equal(table.O, [[1, 1], [1, 1]])
@@ -130,7 +130,7 @@ class TestCrossClassify:
 
     def test_margins_consistent(self):
         v, x = _xy(11, 400, 2)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         g = balanced_grid(4)
         table = cross_classify(v, x, g, part)
         np.testing.assert_array_equal(table.O.sum(axis=0), cell_counts(part, x))
@@ -144,7 +144,7 @@ class TestCrossClassify:
 
     def test_row_order_irrelevant(self):
         v, x = _xy(13, 300, 2)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         g = balanced_grid(3)
         base = cross_classify(v, x, g, part)
         perm = np.random.Generator(np.random.Philox(14)).permutation(300)
@@ -153,14 +153,14 @@ class TestCrossClassify:
 
     def test_1d_covariate_promoted(self):
         v, x = _xy(15, 120, 1)
-        part = gessaman_partition(x[:, 0], 3)
+        part, _ = gessaman_partition(x[:, 0], 3)
         t1 = cross_classify(v, x[:, 0], balanced_grid(2), part)
         t2 = cross_classify(v, x, balanced_grid(2), part)
         np.testing.assert_array_equal(t1.O, t2.O)
 
     def test_input_validation(self):
         v, x = _xy(16, 50, 1)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         g = balanced_grid(2)
         with pytest.raises(InvalidArgumentError):
             cross_classify(v + 1.5, x, g, part)
@@ -177,7 +177,7 @@ class TestCrossClassify:
         n = 40000
         x = rng.uniform(-1, 1, (n, 2))
         v = rng.uniform(0, 1, n)
-        part = gessaman_partition(x, 2)
+        part, _ = gessaman_partition(x, 2)
         g = balanced_grid(4)
         table = cross_classify(v, x, g, part)
         expected = table.column_counts[None, :] * g.widths[:, None]
@@ -275,7 +275,7 @@ def test_table_margins_always_consistent(grid, seed):
     n = int(rng.integers(8, 200))
     x = rng.normal(size=(n, 2))
     v = rng.uniform(0, 1, n)
-    part = gessaman_partition(x, 2)
+    part, _ = gessaman_partition(x, 2)
     table = cross_classify(v, x, grid, part)
     assert table.O.shape == (grid.L, 4)
     assert table.O.sum() == n
