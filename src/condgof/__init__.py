@@ -44,6 +44,7 @@ from .mc import (
     config_from_dict,
     law_grid_partition,
     run_experiment,
+    run_pipeline,
     run_replication,
     simulate_dataset,
 )
@@ -76,75 +77,6 @@ from .tabulate import (
     ContingencyTable,
     UGrid,
     balanced_grid,
-    cross_classify,
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    # backend
-    "chisq_sf",
-    # errors
-    "CondgofError",
-    "InvalidArgumentError",
-    "InvalidParameterError",
-    "ModelEvaluationError",
-    "InsufficientDataError",
-    "EmptyCellError",
-    "SingularDesignError",
-    "DegenerateFitError",
-    "SingularInformationError",
-    "CovarianceConstructionError",
-    "InvalidDfError",
-    "InvalidStartError",
-    "ConvergenceFailureError",
-    "DataError",
-    "UsageError",
-    "ExperimentInvalidError",
-    # models
-    "Dataset",
-    "ConditionalModel",
-    "GaussianLinearModel",
-    "ExponentialRegressionModel",
-    "resolve_model",
-    "rosenblatt",
-    # partition
-    "Partition",
-    "gessaman_partition",
-    "marginal_grid_partition",
-    "rtp_partition",
-    "partition_from_dict",
-    # tabulate
-    "UGrid",
-    "balanced_grid",
-    "ContingencyTable",
-    "cross_classify",
-    # stats
-    "TestReport",
-    "WaldInputs",
-    "pearson_stat",
-    "lr_stat",
-    "lm_stat",
-    "neyman_stat",
-    "wald_raw_mle",
-    "run_test",
-    # estimate
-    "OptimizerConfig",
-    "mle_gaussian_linear",
-    "mle_numeric",
-    "min_chisq_estimate",
-    # mc
-    "DgpSpec",
-    "PartitionRule",
-    "SimConfig",
-    "SimResult",
-    "RepOutcome",
-    "simulate_dataset",
-    "law_grid_partition",
-    "run_replication",
-    "aggregate",
-    "run_experiment",
-    "calibrate_df",
-    "config_from_dict",
-]

@@ -265,8 +265,8 @@ def cmd_test(args) -> int:
             args.L,
             estimator,
             stats,
-            theta,
-            args.seed,
+            theta=theta,
+            seed=args.seed,
         )
     except OutOfSupportError as exc:
         raise DataError(f"{args.data}: {exc}") from exc

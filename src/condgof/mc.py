@@ -52,7 +52,7 @@ from .stats import (
     require_name,
     run_test,
 )
-from .tabulate import ContingencyTable, balanced_grid, tabulate_cells
+from .tabulate import ContingencyTable, as_cells, balanced_grid, tabulate_cells
 
 # family -> number of true parameters beyond k
 DGP_FAMILIES = {
@@ -244,22 +244,36 @@ def run_pipeline(
     L: int,
     estimator: str,
     stats: tuple[str, ...] | list[str],
-    theta,
-    seed: int,
+    *,
+    theta=None,
+    seed: int = 0,
 ) -> tuple[np.ndarray, ContingencyTable, dict[str, TestReport]]:
-    """Estimate, bin, tabulate and test one dataset.
+    """Estimate, bin, tabulate and test one dataset: the library's entry point.
 
-    The single implementation behind `condgof test` and run_replication.
-    estimator is "known" (theta is used as given), "raw_mle" (closed-form
-    Gaussian MLE, otherwise mle_numeric from zero) or "min_chisq" (the raw
+    The one implementation behind the library, `condgof test` and
+    run_replication. cells is each row's 0-based cell of partition, a 1-d
+    integer array of data.n values in [0, partition.J): the cells a builder
+    (gessaman_partition, rtp_partition, marginal_grid_partition) returns, or
+    partition.locate0(data.x) for a partition not built from the data. The
+    table and the raw-MLE Wald share it. estimator is one of ESTIMATORS.
+    "known" takes theta as given and requires it. "raw_mle" (closed-form
+    Gaussian MLE, otherwise mle_numeric from zero) and "min_chisq" (the raw
     MLE refined by min_chisq_estimate under OptimizerConfig(restarts=2,
-    seed=seed, max_iterations=200)). Responses below the model's support
-    raise OutOfSupportError before anything is estimated. cells, each row's
-    0-based cell, comes from the build of a data-dependent partition or from
-    partition.locate0 for any other; the table and the raw-MLE Wald share
-    it. Returns (theta, table, reports by statistic name); needs n >= L.
+    seed=seed, max_iterations=200)) refuse a theta; seed feeds only those
+    min-chi-square restarts. Unknown names, bad cells and a misplaced or
+    missing theta raise InvalidArgumentError, L > n InsufficientDataError and
+    a response below the model's support OutOfSupportError, all before
+    anything is estimated. Returns (theta, table, reports by statistic name).
     """
-    if as_integer("L", L, 1) > data.n:  # checked first, so an absurd L allocates nothing
+    require_name("estimator", estimator, ESTIMATORS)
+    for name in stats:
+        require_name("statistic", name, STATISTICS)
+    if estimator == "known" and theta is None:
+        raise InvalidArgumentError("estimator 'known' requires theta")
+    if estimator != "known" and theta is not None:
+        raise InvalidArgumentError(f"theta is used only by estimator 'known', not {estimator!r}")
+    cells = as_cells(cells, data.n, partition.J)
+    if as_integer("L", L, 1) > data.n:  # before the grid, so an absurd L allocates nothing
         raise InsufficientDataError(f"need n >= L = {L} points, got {data.n}")
     grid = balanced_grid(L)
     below = np.flatnonzero(data.y < model.support_lower)
@@ -308,8 +322,8 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
             cfg.L,
             cfg.estimator,
             cfg.stats,
-            cfg.theta,
-            est_seed,
+            theta=cfg.theta,
+            seed=est_seed,
         )
     except CondgofError as exc:
         outcome.reports = {}

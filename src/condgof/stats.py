@@ -43,7 +43,7 @@ from .errors import (
     as_integer,
 )
 from .models import ConditionalModel, Dataset, response_bins
-from .tabulate import ContingencyTable, require_positive_columns
+from .tabulate import ContingencyTable, as_cells, require_positive_columns
 
 _RANK_RTOL = 1e-10
 _NEG_RTOL = 1e-8
@@ -205,7 +205,10 @@ def wald_raw_mle(
     block-diagonal by covariate cell with blocks qhat_j (diag(w) - w w'), C
     holds per-cell score means and I the estimated information. The response
     bins are those of table.grid, and cells holds the 0-based covariate cell
-    of each row of data, as the table was binned. The statistic is
+    of each row of data, as the table was binned: as_cells refuses cells of
+    the wrong length, dtype or range, or whose counts are not the table's
+    column counts, but cannot detect a permutation that keeps the counts.
+    The statistic is
     n d' Sigma+ d, computed as Pearson plus a p x p correction (_wald_form).
     Returns the statistic and the rank of Sigma, J(L-1) less the number of
     numerically zero eigenvalues of M = I - C' diag(1/p0) C; that rank is
@@ -220,6 +223,7 @@ def wald_raw_mle(
     outer-product information adds fourth-moment noise on top.
     """
     require_positive_columns(table)
+    cells = as_cells(cells, data.n, table.J, table.column_counts)
     theta = model.validate_theta(theta_hat)
     C, info = _score_moments(model, theta, data, table.grid, cells, table.J)
     return _wald_form(table, C, info)

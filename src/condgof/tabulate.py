@@ -2,10 +2,11 @@
 
 The unit interval is cut into L bins by a grid of thresholds; bin ell is
 the half-open interval (t_{ell-1}, t_ell], with v = 0 assigned to bin 1.
-Cross-classifying the bin index of each response (models.bin_pivots) against
-the covariate-partition cell of its row gives the observed table O. A
-table is its counts plus its grid; the margins derive from O, so its
-column sums are the partition cell counts by construction.
+tabulate_cells cross-classifies each row's 0-based response bin
+(models.response_bins) against its 0-based covariate cell, which as_cells
+checks, and gives the observed table O. A table is its counts plus its
+grid; the margins derive from O, so its column sums are the partition cell
+counts by construction.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCellError, InvalidArgumentError, as_float_array, as_integer
-from .models import bin_pivots
-from .partition import Partition
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,19 +120,28 @@ class ContingencyTable:
         return self.column_counts / self.n
 
 
-def cross_classify(v, x, grid: UGrid, partition: Partition) -> ContingencyTable:
-    """Count observations per (response bin, covariate cell) pair; v lies in [0, 1]."""
-    cells = partition.locate0(x)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise InvalidArgumentError("v must be 1-d")
-    if np.isnan(v).any() or (v < 0.0).any() or (v > 1.0).any():
-        raise InvalidArgumentError("transformed responses must lie in [0, 1]")
-    if cells.shape[0] != v.shape[0]:
-        raise InvalidArgumentError(
-            f"v has {v.shape[0]} rows but x has {cells.shape[0]}"
-        )
-    return tabulate_cells(bin_pivots(v, grid.thresholds), cells, grid, partition.J)
+def as_cells(cells, n: int, J: int, counts: np.ndarray | None = None) -> np.ndarray:
+    """cells as int64: the one check of the covariate cell of each of n rows.
+
+    cells must be a 1-d integer array of n values in [0, J); with counts, the
+    column counts of a table binned with these cells, np.bincount(cells) must
+    equal them. InvalidArgumentError otherwise. Rows permuted against the
+    data keep the counts, so such cells cannot be detected.
+    """
+    try:
+        arr = np.asarray(cells)
+        ok = arr.dtype.kind in "iu" and arr.shape == (n,)
+    except ValueError:  # a ragged nested list
+        ok = False
+    if not ok:
+        raise InvalidArgumentError(f"cells must be a 1-d integer array of {n} values")
+    lo, hi = arr.min(), arr.max()
+    if lo < 0 or hi >= J:
+        raise InvalidArgumentError(f"cells must lie in [0, {J}), got values from {lo} to {hi}")
+    arr = arr.astype(np.int64, copy=False)
+    if counts is not None and not np.array_equal(np.bincount(arr, minlength=J), counts):
+        raise InvalidArgumentError("cells do not give the table's column counts")
+    return arr
 
 
 def tabulate_cells(bins: np.ndarray, cells: np.ndarray, grid: UGrid, J: int) -> ContingencyTable:

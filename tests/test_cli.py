@@ -20,10 +20,10 @@ from condgof import (
     gessaman_partition,
     mc,
     resolve_model,
+    run_pipeline,
     run_replication,
 )
 from condgof.cli import _ESTIMATOR_FLAGS, _report_to_dict, main, read_csv_columns
-from condgof.mc import run_pipeline
 
 
 @pytest.fixture()
@@ -277,8 +277,7 @@ class TestTestCommand:
             4,
             _ESTIMATOR_FLAGS[flag],
             stats,
-            None,
-            3,
+            seed=3,
         )
         assert doc["config"]["theta"] == theta.tolist()
         assert doc["table"]["O"] == table.O.tolist()

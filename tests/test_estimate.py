@@ -17,7 +17,6 @@ from condgof import (
     backend,
     balanced_grid,
     Partition,
-    cross_classify,
     gessaman_partition,
     min_chisq_estimate,
     mle_gaussian_linear,
@@ -25,8 +24,14 @@ from condgof import (
     pearson_stat,
     rosenblatt,
 )
-from condgof.models import ConditionalModel, log_likelihood
+from condgof.models import ConditionalModel, bin_pivots, log_likelihood
 from condgof.stats import _score_moments
+from condgof.tabulate import tabulate_cells
+
+
+def cross_classify(v, x, grid, part):
+    """The table of values v in [0, 1] binned on grid against part's cells, located by locate0."""
+    return tabulate_cells(bin_pivots(v, grid.thresholds), part.locate0(x), grid, part.J)
 
 
 def _gaussian_data(seed, n, beta=(2.0, 3.0), sigma=1.0):

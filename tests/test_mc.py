@@ -1,5 +1,6 @@
 """Simulation engine: reproducibility, aggregation, and df diagnostics."""
 
+import inspect
 from dataclasses import asdict
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.stats
 
 from condgof import (
+    Dataset,
     DgpSpec,
     ExperimentInvalidError,
     InvalidArgumentError,
@@ -18,8 +20,12 @@ from condgof import (
     backend,
     calibrate_df,
     config_from_dict,
+    gessaman_partition,
     law_grid_partition,
+    mc,
+    resolve_model,
     run_experiment,
+    run_pipeline,
     run_replication,
     simulate_dataset,
 )
@@ -296,6 +302,65 @@ class TestSharedPipeline:
         with pytest.raises(AssertionError, match="the box scan ran"):
             part.locate0(x)  # the cliff the build's own cells avoid
         assert part.J == 121 and cells.shape == (2000,)
+
+
+class TestPipelineInputs:
+    """run_pipeline refuses its caller's inputs before anything is estimated."""
+
+    @pytest.fixture()
+    def quick_start(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("estimated before the inputs were checked")
+
+        rng = np.random.default_rng(0)
+        x = rng.uniform(-1, 1, size=(400, 2))
+        data = Dataset(y=0.5 + x @ [1.0, -0.7] + rng.standard_normal(400), x=x)
+        part, cells = gessaman_partition(data.x, T=2)
+        monkeypatch.setattr(mc, "mle_gaussian_linear", no_fit)
+        return resolve_model("gaussian_linear", k=2), data, part, cells
+
+    def _refused(
+        self, quick_start, match, cells=None, estimator="raw_mle", stats=("pearson",), theta=None
+    ):
+        model, data, part, good = quick_start
+        cells = good if cells is None else cells
+        with pytest.raises(InvalidArgumentError, match=match) as info:
+            run_pipeline(model, data, part, cells, 4, estimator, stats, theta=theta, seed=0)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda c: c[:-1],
+            lambda c: c + 1,
+            lambda c: c - 1,
+            lambda c: c.astype(np.float64),
+            lambda c: c.reshape(20, 20),
+            lambda c: c.astype(bool),
+        ],
+        ids=["short", "past_J", "negative", "float", "2d", "bool"],
+    )
+    def test_cells(self, quick_start, bad):
+        self._refused(quick_start, "cells must", cells=bad(quick_start[3]))
+
+    def test_names(self, quick_start):
+        self._refused(quick_start, "unknown estimator 'mle'", estimator="mle")
+        self._refused(quick_start, "unknown statistic 'chi2'", stats=("pearson", "chi2"))
+
+    def test_known_needs_theta(self, quick_start):
+        self._refused(quick_start, "'known' requires theta", estimator="known")
+
+    @pytest.mark.parametrize("estimator", ["raw_mle", "min_chisq"])
+    def test_theta_only_under_known(self, quick_start, estimator):
+        self._refused(
+            quick_start, "theta is used only by", estimator=estimator, theta=(0.5, 1.0, -0.7, 1.0)
+        )
+
+    def test_theta_and_seed_are_keywords(self):
+        params = inspect.signature(run_pipeline).parameters
+        for name in ("theta", "seed"):
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["theta"].default is None and params["seed"].default == 0
 
 
 class TestAggregate:

@@ -16,13 +16,14 @@ def _blocks(lang: str) -> list[str]:
 
 
 def test_quick_start_prints_its_comment():
+    # the block ends in the two lines it prints, each as a comment
     block = _blocks("python")[0]
-    expected = block.rstrip().splitlines()[-1]
-    assert expected.startswith("# ")
+    expected = block.rstrip().splitlines()[-2:]
+    assert all(line.startswith("# ") for line in expected)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(block, {})
-    assert out.getvalue() == expected[2:] + "\n"
+    assert out.getvalue() == "".join(line[2:] + "\n" for line in expected)
 
 
 def test_json_config_is_the_python_config():

@@ -20,8 +20,6 @@ from condgof import (
     WaldInputs,
     balanced_grid,
     chisq_sf,
-    cross_classify,
-    gessaman_partition,
     lm_stat,
     lr_stat,
     OptimizerConfig,
@@ -35,9 +33,16 @@ from condgof import (
 )
 from condgof import TestReport as Report
 from condgof.models import ExponentialRegressionModel
+from condgof.models import bin_pivots
 from condgof.stats import _wald_form, has_zero_cells, policy_df, wald_raw_mle
+from condgof.tabulate import tabulate_cells
 
 import wald_oracle
+
+
+def cross_classify(v, x, grid, part):
+    """The table of values v in [0, 1] binned on grid against part's cells, located by locate0."""
+    return tabulate_cells(bin_pivots(v, grid.thresholds), part.locate0(x), grid, part.J)
 
 
 def _table(O):
@@ -346,6 +351,24 @@ class TestWaldRawMle:
         bad = ContingencyTable(O=O, grid=grid)
         with pytest.raises(EmptyCellError):
             wald_raw_mle(bad, model, theta, data, part.locate0(data.x))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda c: c[:-1],
+            lambda c: np.minimum(c + 1, c.max()),  # in range, but not the table's counts
+            lambda c: c + 1,
+            lambda c: c - 1,
+            lambda c: c.astype(np.float64),
+            lambda c: c.reshape(20, 40),
+        ],
+        ids=["short", "other_counts", "past_J", "negative", "float", "2d"],
+    )
+    def test_cells_must_be_the_tables(self, bad):
+        table, model, theta, data, _grid, part = self._fit()
+        with pytest.raises(InvalidArgumentError, match="cells") as info:
+            wald_raw_mle(table, model, theta, data, bad(part.locate0(data.x)))
+        assert "\n" not in str(info.value)
 
     def test_collinear_design_raises(self):
         rng = np.random.Generator(np.random.Philox(9))
