@@ -24,7 +24,7 @@ from . import __version__
 from .errors import (
     CondgofError,
     DataError,
-    InvalidParameterError,
+    InvalidArgumentError,
     OutOfSupportError,
     UncoveredPointError,
     UsageError,
@@ -39,7 +39,7 @@ from .partition import (
     partition_to_dict,
     rtp_partition,
 )
-from .stats import STATISTICS, TestReport
+from .stats import TestReport, check_request
 
 _ESTIMATOR_FLAGS = {
     "known": "known",
@@ -147,14 +147,11 @@ def _read_csv_strict(path: str, wanted: list[str]) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _parse_theta(raw: str, expected: int) -> np.ndarray:
+def _parse_theta(raw: str) -> list[float]:
     try:
-        vals = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in raw.split(",") if tok.strip() != ""]
     except ValueError:
         raise UsageError(f"--theta must be comma-separated numbers, got {raw!r}") from None
-    if len(vals) != expected:
-        raise UsageError(f"--theta needs {expected} values, got {len(vals)}")
-    return np.asarray(vals)
 
 
 def _parse_names(flag: str, what: str, raw: str) -> list[str]:
@@ -221,18 +218,16 @@ def _data_partition(rule: str, x: np.ndarray, T: int, r: int, seed: int):
 def cmd_test(args) -> int:
     x_cols = _parse_names("--x", "column", args.x)
     stats = _parse_names("--stats", "statistic", args.stats)
-    for name in stats:
-        if name not in STATISTICS:
-            raise UsageError(f"unknown statistic {name!r}; choices: {','.join(STATISTICS)}")
     _check_int_flags(args, L=1, T=2, r=1, seed=0)
     estimator = _ESTIMATOR_FLAGS[args.estimator]
-    if args.theta is not None and estimator != "known":
-        raise UsageError(f"--theta is used only by --estimator known, not {args.estimator}")
-    if args.theta is None and estimator == "known":
-        raise UsageError("estimator 'known' requires --theta")
+    theta = None if args.theta is None else _parse_theta(args.theta)
+    try:  # the data has one column per --x name
+        model = resolve_model(args.model, len(x_cols))
+        theta = check_request(model, estimator, stats, theta)
+    except InvalidArgumentError as exc:
+        raise UsageError(str(exc)) from exc
     y, x = read_csv_columns(args.data, args.y, x_cols)
     data = Dataset(y=y, x=x)
-    model = resolve_model(args.model, data.k)
 
     cells = None
     if args.partition_file:
@@ -244,13 +239,6 @@ def cmd_test(args) -> int:
         desc = {"kind": "file", "path": args.partition_file}
     else:
         partition, cells, desc = _data_partition(args.partition, data.x, args.T, args.r, args.seed)
-
-    theta = None
-    if estimator == "known":
-        try:
-            theta = model.validate_theta(_parse_theta(args.theta, model.param_dim))
-        except InvalidParameterError as exc:
-            raise UsageError(f"invalid --theta: {exc}") from exc
 
     try:  # a file partition was not built from the data: locate the rows in it
         cells = partition.locate0(data.x) if cells is None else cells
@@ -386,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_test.add_argument("--T", type=int, default=2, help="children per split")
     p_test.add_argument("--r", type=int, default=1, help="splits per axis (rtp)")
-    p_test.add_argument("--seed", type=int, default=0, help="partition seed (default 0)")
+    p_test.add_argument(
+        "--seed", type=int, default=0,
+        help="seed of the partition and of the grouped estimator's restarts (default 0)",
+    )
     p_test.add_argument("--stats", default="pearson,lr,wald")
     p_test.add_argument("--partition-file", help="reuse a serialized partition")
     p_test.add_argument("--out", help="write the JSON report here")

@@ -35,23 +35,14 @@ from .errors import (
     ExperimentInvalidError,
     InsufficientDataError,
     InvalidArgumentError,
-    InvalidParameterError,
     OutOfSupportError,
     as_integer,
     whole_fields,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
-from .models import ConditionalModel, Dataset, resolve_model, response_bins
+from .models import ConditionalModel, Dataset, _check_k, resolve_model, response_bins
 from .partition import Partition, gessaman_partition, product_partition, rtp_partition
-from .stats import (
-    ESTIMATORS,
-    STATISTICS,
-    TestReport,
-    WaldInputs,
-    policy_df,
-    require_name,
-    run_test,
-)
+from .stats import TestReport, WaldInputs, check_request, policy_df, run_test
 from .tabulate import ContingencyTable, as_cells, balanced_grid, tabulate_cells
 
 # family -> number of true parameters beyond k
@@ -127,16 +118,9 @@ class SimConfig:
     theta: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        require_name("estimator", self.estimator, ESTIMATORS)
         whole_fields(self, L=1, replications=1, master_seed=0)
-        if not isinstance(self.stats, (list, tuple)) or not self.stats:
-            raise InvalidArgumentError(
-                f"stats must be a list of at least one statistic, got {self.stats!r}"
-            )
-        for s in self.stats:
-            require_name("statistic", s, STATISTICS)
-        if len(set(self.stats)) != len(self.stats):
-            raise InvalidArgumentError(f"stats must name each statistic once, got {self.stats}")
+        model = resolve_model(self.model, self.dgp.k)
+        theta = check_request(model, self.estimator, self.stats, self.theta)
         if not isinstance(self.levels, (list, tuple)) or not self.levels or not all(
             isinstance(lv, numbers.Real) and not isinstance(lv, bool) and 0.0 < lv < 1.0
             for lv in self.levels
@@ -146,28 +130,9 @@ class SimConfig:
             )
         if len(set(self.levels)) != len(self.levels):
             raise InvalidArgumentError(f"levels must name each level once, got {self.levels}")
-        if self.estimator == "known" and self.theta is None:
-            raise InvalidArgumentError("estimator 'known' requires theta")
-        if self.estimator != "known" and self.theta is not None:
-            raise InvalidArgumentError(
-                f"theta is used only by estimator 'known', not {self.estimator!r}"
-            )
-        model = resolve_model(self.model, self.dgp.k)
         object.__setattr__(self, "stats", tuple(self.stats))
         object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
-        if self.theta is not None:
-            object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-            if not all(map(math.isfinite, self.theta)):
-                raise InvalidArgumentError(f"theta must be finite, got {self.theta}")
-            if len(self.theta) != model.param_dim:
-                raise InvalidArgumentError(
-                    f"model {self.model!r} needs {model.param_dim} theta values, "
-                    f"got {len(self.theta)}"
-                )
-            try:
-                model.validate_theta(self.theta)
-            except InvalidParameterError as exc:
-                raise InvalidArgumentError(f"invalid theta: {exc}") from exc
+        object.__setattr__(self, "theta", None if theta is None else tuple(theta.tolist()))
 
 
 def law_grid_partition(law: str, k: int, T: int) -> Partition:
@@ -260,18 +225,14 @@ def run_pipeline(
     Gaussian MLE, otherwise mle_numeric from zero) and "min_chisq" (the raw
     MLE refined by min_chisq_estimate under OptimizerConfig(restarts=2,
     seed=seed, max_iterations=200)) refuse a theta; seed feeds only those
-    min-chi-square restarts. Unknown names, bad cells and a misplaced or
-    missing theta raise InvalidArgumentError, L > n InsufficientDataError and
-    a response below the model's support OutOfSupportError, all before
-    anything is estimated. Returns (theta, table, reports by statistic name).
+    min-chi-square restarts. A request stats.check_request refuses, a model
+    for another k than data.k and bad cells raise InvalidArgumentError,
+    L > n InsufficientDataError and a response below the model's support
+    OutOfSupportError, all before anything is estimated. Returns (theta,
+    table, reports by statistic name).
     """
-    require_name("estimator", estimator, ESTIMATORS)
-    for name in stats:
-        require_name("statistic", name, STATISTICS)
-    if estimator == "known" and theta is None:
-        raise InvalidArgumentError("estimator 'known' requires theta")
-    if estimator != "known" and theta is not None:
-        raise InvalidArgumentError(f"theta is used only by estimator 'known', not {estimator!r}")
+    theta = check_request(model, estimator, stats, theta)
+    _check_k(model, data)
     cells = as_cells(cells, data.n, partition.J)
     if as_integer("L", L, 1) > data.n:  # before the grid, so an absurd L allocates nothing
         raise InsufficientDataError(f"need n >= L = {L} points, got {data.n}")
@@ -282,9 +243,7 @@ def run_pipeline(
             f"response at row {below[0]} is {float(data.y[below[0]])}, "
             f"outside the support y >= {model.support_lower} of {model.name}"
         )
-    if estimator == "known":
-        theta = np.asarray(theta)
-    else:
+    if estimator != "known":
         if model.name == "gaussian_linear":
             theta = mle_gaussian_linear(data)
         else:

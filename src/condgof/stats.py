@@ -12,12 +12,14 @@ correction: its covariance S_base - C I^{-1} C' is inverted on its range by
 Woodbury around the diagonal generalized inverse diag(1/p0) of S_base, so
 no LJ x LJ matrix is built.
 
-A run is named by plain strings, each list spelled once here: the
-statistic (STATISTICS) and how theta was obtained (ESTIMATORS). policy_df is
-the one df rule: J*(L-1), since the columns are independent multinomials
-given the covariate cell counts, less the model's p parameters unless theta
-is known. There is one calibration rule too: a statistic is referred to
-chi-square laws with df from df to df_hi, and a point df is the bracket with
+A run is named by plain strings, each list spelled once here: the statistic
+(STATISTICS) and how theta was obtained (ESTIMATORS). check_request is the
+one rule for what a run may ask for; run_pipeline, a simulation config and
+`condgof test` all refuse a request through it. policy_df is the one df
+rule: J*(L-1), since the columns are independent multinomials given the
+covariate cell counts, less the model's p parameters unless theta is known.
+There is one calibration rule too: a statistic is referred to chi-square
+laws with df from df to df_hi, and a point df is the bracket with
 df == df_hi. Estimating p parameters from the raw data pins a statistic of
 the table only between df and df + p, so under raw_mle every statistic but
 "wald" gets a df interval and a p-value interval. Under raw_mle "wald" is
@@ -39,7 +41,9 @@ from .errors import (
     EmptyCellError,
     InvalidArgumentError,
     InvalidDfError,
+    InvalidParameterError,
     SingularInformationError,
+    as_float_array,
     as_integer,
 )
 from .models import ConditionalModel, Dataset, response_bins
@@ -57,6 +61,34 @@ def require_name(what: str, name, names: tuple[str, ...]) -> None:
     """InvalidArgumentError unless name is one of names."""
     if name not in names:
         raise InvalidArgumentError(f"unknown {what} {name!r}; known: {', '.join(names)}")
+
+
+def check_request(model: ConditionalModel, estimator: str, stats, theta=None) -> np.ndarray | None:
+    """theta as float64 (None unless estimator is "known") if a run may ask for this.
+
+    The one rule for what a run asks for, shared by run_pipeline, SimConfig
+    and `condgof test`: estimator is one of ESTIMATORS, stats a list or tuple
+    naming at least one of STATISTICS, each once, and theta is given exactly
+    under "known", as an array of numbers that model.validate_theta accepts.
+    Anything else raises one InvalidArgumentError line.
+    """
+    require_name("estimator", estimator, ESTIMATORS)
+    if not isinstance(stats, (list, tuple)) or not stats:
+        raise InvalidArgumentError(f"stats must be a list of at least one statistic, got {stats!r}")
+    for name in stats:
+        require_name("statistic", name, STATISTICS)
+    if len(set(stats)) != len(stats):
+        raise InvalidArgumentError(f"stats must name each statistic once, got {stats}")
+    if estimator != "known" and theta is not None:
+        raise InvalidArgumentError(f"theta is used only by estimator 'known', not {estimator!r}")
+    if estimator == "known" and theta is None:
+        raise InvalidArgumentError("estimator 'known' requires theta")
+    if theta is None:
+        return None
+    try:
+        return model.validate_theta(as_float_array("theta", theta))
+    except InvalidParameterError as exc:
+        raise InvalidArgumentError(f"invalid theta: {exc}") from exc
 
 
 def policy_df(estimator: str, L: int, J: int, p: int) -> int:

@@ -384,3 +384,53 @@ def test_12_raw_mle_wald_high_dimension():
     assert BAND[0] <= rate <= BAND[1], f"wald rate {rate} outside {BAND}"
     assert summ.mean_df == 84
     assert abs(summ.mean - summ.mean_df) <= 3.0 * se
+
+
+EXP_DGP = DgpSpec(
+    family="exponential_regression",
+    true_params=(0.2, 0.3, 0.3),
+    covariate_law="uniform",
+    n=500,
+    k=2,
+)
+
+
+def _exponential_config(estimator, stats, master_seed):
+    """rtp T = 2, r = 2 at k = 2: J = 5 cells, J(L - 1) = 15 table df."""
+    return SimConfig(
+        dgp=EXP_DGP,
+        model="exponential_regression",
+        estimator=estimator,
+        theta=EXP_DGP.true_params if estimator == "known" else None,
+        L=4,
+        partition=PartitionRule(kind="rtp", T=2, r=2),
+        stats=stats,
+        levels=(0.05,),
+        replications=R,
+        master_seed=master_seed,
+    )
+
+
+def test_13_exponential_family_size():
+    """The second family keeps its size: known-theta Pearson and the raw-MLE Wald.
+
+    The raw MLE here is Fisher scoring (mle_numeric), so no failed
+    replication means it converged on every one; the Wald uses the family's
+    closed-form information and score moments.
+    """
+    known = run_experiment(_exponential_config("known", ("pearson",), 1013))
+    raw = run_experiment(_exponential_config("raw_mle", ("wald",), 1014))
+    pearson_rate = known.rate("pearson", 0.05)
+    wald_rate = raw.rate("wald", 0.05)
+    summ = raw.summary("wald")
+    se = float(np.sqrt(summ.variance / (raw.replications - raw.failed)))
+    print(
+        f"[13] exponential pearson rate {pearson_rate}, wald rate {wald_rate}; wald mean "
+        f"{summ.mean:.4f} vs reported df {summ.mean_df} (3se = {3 * se:.4f}), "
+        f"failed {known.failed} + {raw.failed}"
+    )
+    assert known.failed == 0 and raw.failed == 0
+    assert BAND[0] <= pearson_rate <= BAND[1], f"pearson rate outside {BAND}"
+    assert BAND[0] <= wald_rate <= BAND[1], f"wald rate outside {BAND}"
+    assert summ.mean_df == 15
+    assert abs(summ.mean - summ.mean_df) <= 3.0 * se

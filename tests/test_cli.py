@@ -428,7 +428,7 @@ class TestSimulateCommand:
         "field, value, message",
         [
             ("model", "weibull", "unknown model family"),
-            ("theta", [0.5, 1.0, 1.0], "needs 4 theta values"),
+            ("theta", [0.5, 1.0, 1.0], "invalid theta: gaussian_linear: expected 4 parameters"),
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0],
                      "covariate_law": "uniform", "n": 200, "k": 2}, "true parameters"),
             ("master_seed", -1, "master_seed must be an integer >= 0, got -1"),
@@ -443,7 +443,7 @@ class TestSimulateCommand:
                      "covariate_law": "uniform", "n": 200, "k": 2}, "true_params must be finite"),
             ("partition", {"kind": "gessaman", "T": 2.5}, "T must be an integer"),
             ("partition", {"kind": "rtp", "T": 2, "r": 1.5}, "r must be an integer"),
-            ("theta", [0.5, 1.0, "inf", 1.0], "theta must be finite"),
+            ("theta", [0.5, 1.0, "inf", 1.0], "theta must be a rectangular array of numbers"),
             # misspelled keys: each is named, none is silently dropped
             ("level", [0.01], "config (unknown fields 'level')"),
             ("df_conventon", "unconditional", "config (unknown fields 'df_conventon')"),
@@ -553,7 +553,7 @@ class TestExitCodes:
             ]
         )
         assert code == 2
-        assert "4 values" in capsys.readouterr().err
+        assert "expected 4 parameters, got 2" in capsys.readouterr().err
 
     def test_missing_file_exit_3(self, tmp_path):
         code = main(
@@ -576,7 +576,26 @@ class TestExitCodes:
                      "--model", "gaussian_linear", "--estimator", "known"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "estimator 'known' requires --theta" in err
+        assert "estimator 'known' requires theta" in err
+        _assert_one_line(err)
+
+    @pytest.mark.parametrize("csv_present", [True, False], ids=["csv", "absent_csv"])
+    def test_unknown_model_exit_2_before_reading(self, gauss_csv, tmp_path, capsys, csv_present):
+        data = gauss_csv if csv_present else str(tmp_path / "absent.csv")
+        out = tmp_path / "rep.json"
+        code = main(["test", "--data", data, "--y", "y", "--x", "x1,x2", "--model", "weibull",
+                     "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert "usage error: unknown model family 'weibull'" in err
+        _assert_one_line(err)
+
+    def test_refused_theta_exit_2_before_reading(self, tmp_path, capsys):
+        code = main(["test", "--data", str(tmp_path / "absent.csv"), "--y", "y", "--x", "x1,x2",
+                     "--model", "gaussian_linear", "--estimator", "known", "--theta", "0,1,1,-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "usage error: invalid theta: gaussian_linear: sigma must be >=" in err
         _assert_one_line(err)
 
     def test_header_only_csv_leaks_no_warning(self, tmp_path):
@@ -614,11 +633,11 @@ class TestExitCodes:
         "estimator, theta, message",
         [
             ("known", "0,1,x,1", "--theta must be comma-separated numbers, got '0,1,x,1'"),
-            ("known", "0,1,1,0", "invalid --theta"),
-            ("known", "0,1,1,-1", "invalid --theta"),
+            ("known", "0,1,1,0", "invalid theta: gaussian_linear: sigma must be >="),
+            ("known", "0,1,1,-1", "invalid theta: gaussian_linear: sigma must be >="),
             # a theta the estimate would replace
-            ("raw", "0,1,1,1", "--theta is used only by --estimator known, not raw"),
-            ("grouped", "0,1,1,1", "--theta is used only by --estimator known, not grouped"),
+            ("raw", "0,1,1,1", "theta is used only by estimator 'known', not 'raw_mle'"),
+            ("grouped", "0,1,1,1", "theta is used only by estimator 'known', not 'min_chisq'"),
         ],
     )
     def test_invalid_theta_exit_2(self, gauss_csv, tmp_path, capsys, estimator, theta, message):

@@ -104,14 +104,14 @@ class TestConfigValidation:
             _known_cfg(theta=None)  # known estimator needs theta
         with pytest.raises(InvalidArgumentError, match="unknown model family"):
             _known_cfg(model="weibull")
-        with pytest.raises(InvalidArgumentError, match="needs 4 theta values"):
+        with pytest.raises(InvalidArgumentError, match="expected 4 parameters, got 3"):
             _known_cfg(theta=(0.5, 1.0, 1.0))
         with pytest.raises(InvalidArgumentError, match="master_seed"):
             _known_cfg(master_seed=-1)
         for field, value in (("master_seed", 1.7), ("L", 4.5), ("replications", "40")):
             with pytest.raises(InvalidArgumentError, match=f"{field} must be an integer"):
                 _known_cfg(**{field: value})
-        with pytest.raises(InvalidArgumentError, match="theta must be finite"):
+        with pytest.raises(InvalidArgumentError, match="theta contains non-finite values"):
             _known_cfg(theta=(0.5, 1.0, float("nan"), 1.0))
         for sigma in (-1.0, 0.0):  # a theta outside the family's constraint
             with pytest.raises(InvalidArgumentError, match="invalid theta: .*sigma must be >="):
@@ -305,25 +305,34 @@ class TestSharedPipeline:
 
 
 class TestPipelineInputs:
-    """run_pipeline refuses its caller's inputs before anything is estimated."""
+    """run_pipeline refuses its caller's inputs before anything is estimated or binned."""
 
     @pytest.fixture()
     def quick_start(self, monkeypatch):
         def no_fit(*args):
-            raise AssertionError("estimated before the inputs were checked")
+            raise AssertionError("estimated or binned before the inputs were checked")
 
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(400, 2))
         data = Dataset(y=0.5 + x @ [1.0, -0.7] + rng.standard_normal(400), x=x)
         part, cells = gessaman_partition(data.x, T=2)
-        monkeypatch.setattr(mc, "mle_gaussian_linear", no_fit)
+        for name in ("mle_gaussian_linear", "mle_numeric", "response_bins"):
+            monkeypatch.setattr(mc, name, no_fit)
         return resolve_model("gaussian_linear", k=2), data, part, cells
 
     def _refused(
-        self, quick_start, match, cells=None, estimator="raw_mle", stats=("pearson",), theta=None
+        self,
+        quick_start,
+        match,
+        cells=None,
+        estimator="raw_mle",
+        stats=("pearson",),
+        theta=None,
+        model=None,
     ):
-        model, data, part, good = quick_start
+        default_model, data, part, good = quick_start
         cells = good if cells is None else cells
+        model = default_model if model is None else model
         with pytest.raises(InvalidArgumentError, match=match) as info:
             run_pipeline(model, data, part, cells, 4, estimator, stats, theta=theta, seed=0)
         assert "\n" not in str(info.value)
@@ -354,6 +363,42 @@ class TestPipelineInputs:
     def test_theta_only_under_known(self, quick_start, estimator):
         self._refused(
             quick_start, "theta is used only by", estimator=estimator, theta=(0.5, 1.0, -0.7, 1.0)
+        )
+
+    @pytest.mark.parametrize(
+        "stats, match",
+        [
+            (("pearson", "pearson"), "stats must name each statistic once"),
+            ((), "stats must be a list of at least one statistic"),
+            ("pearson", "stats must be a list of at least one statistic, got 'pearson'"),
+        ],
+        ids=["repeated", "empty", "bare_string"],
+    )
+    def test_stats(self, quick_start, stats, match):
+        self._refused(quick_start, match, stats=stats)
+
+    @pytest.mark.parametrize(
+        "theta, match",
+        [
+            ("abc", "theta must be a rectangular array of numbers"),
+            ((0.5, 1.0, -0.7, -1.0), "invalid theta: gaussian_linear: sigma must be >="),
+        ],
+        ids=["not_numeric", "negative_sigma"],
+    )
+    def test_known_theta_values(self, quick_start, theta, match):
+        self._refused(quick_start, match, estimator="known", theta=theta)
+
+    @pytest.mark.parametrize("estimator", ["known", "raw_mle", "min_chisq"])
+    @pytest.mark.parametrize("family", ["gaussian_linear", "exponential_regression"])
+    def test_model_for_another_k(self, quick_start, family, estimator):
+        model = resolve_model(family, k=3)
+        theta = np.ones(model.param_dim) if estimator == "known" else None
+        self._refused(
+            quick_start,
+            "^model expects k=3 covariates, data has k=2$",
+            estimator=estimator,
+            theta=theta,
+            model=model,
         )
 
     def test_theta_and_seed_are_keywords(self):

@@ -16,7 +16,6 @@ from condgof import (
     InvalidArgumentError,
     InvalidDfError,
     SingularInformationError,
-    UGrid,
     WaldInputs,
     balanced_grid,
     chisq_sf,
