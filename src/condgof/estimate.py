@@ -43,8 +43,9 @@ from .models import (
     _SIGMA_MIN,
     ConditionalModel,
     Dataset,
+    _check_k,
+    bin_pivots,
     log_likelihood,
-    response_bins,
 )
 from .partition import Partition
 from .stats import _pearson
@@ -203,17 +204,14 @@ def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float = 1e-6, fatol: f
     """Minimal deterministic Nelder-Mead; returns the best vertex seen."""
     n = x0.shape[0]
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    simplex = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] = v[i] + (0.05 if v[i] == 0.0 else 0.05 * abs(v[i]) + 0.01)
-        simplex.append(v)
-    fvals = [f(v) for v in simplex]
+    simplex = np.tile(x0, (n + 1, 1))
+    axes = np.arange(n)
+    simplex[axes + 1, axes] += np.where(x0 == 0.0, 0.05, 0.05 * np.abs(x0) + 0.01)
+    fvals = np.array([f(v) for v in simplex])
     for _ in range(max_iter):
         order = np.argsort(fvals, kind="stable")
-        simplex = [simplex[i] for i in order]
-        fvals = [fvals[i] for i in order]
-        spread = max(np.abs(simplex[i] - simplex[0]).max() for i in range(1, n + 1))
+        simplex, fvals = simplex[order], fvals[order]
+        spread = np.abs(simplex[1:] - simplex[0]).max()
         if spread <= xatol and abs(fvals[-1] - fvals[0]) <= fatol:
             break
         centroid = np.mean(simplex[:-1], axis=0)
@@ -234,9 +232,8 @@ def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float = 1e-6, fatol: f
             if fc < fvals[-1]:
                 simplex[-1], fvals[-1] = xc, fc
             else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + sigma * (simplex[i] - simplex[0])
-                    fvals[i] = f(simplex[i])
+                simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
+                fvals[1:] = [f(v) for v in simplex[1:]]
     best = int(np.argmin(fvals))
     return simplex[best], fvals[best]
 
@@ -252,14 +249,17 @@ def min_chisq_estimate(
     """Parameter value minimizing the Pearson statistic of the table.
 
     Derivative-free simplex from init plus config.restarts seeded restarts;
-    never returns a point with a larger objective than init. The cells and
-    expected counts are fixed before the simplex starts: a partition that
-    does not cover the data raises InvalidArgumentError, one with an empty
-    cell InvalidStartError. Only package errors and FloatingPointError from
-    the model score +inf; anything else propagates.
+    never returns a point with a larger objective than init. The cells, the
+    expected counts and model.pivot_map(y, x) are fixed before the simplex:
+    data with the wrong k or a partition that does not cover it raises
+    InvalidArgumentError, an empty cell InvalidStartError. A theta that
+    validate_theta refuses, a NaN pivot, any other package error and
+    FloatingPointError score +inf; anything else propagates.
     """
     theta0 = model.validate_theta(init)
     log_idx = model.log_scale_indices()
+    _check_k(model, data)
+    pivot = model.pivot_map(data.y, data.x)
     cells = partition.locate0(data.x)
     edges = model.pivot_edges(grid.thresholds)
     L, J = grid.L, partition.J
@@ -269,8 +269,7 @@ def min_chisq_estimate(
 
     def objective(phi: np.ndarray) -> float:
         try:
-            theta = model.validate_theta(_from_internal(phi, log_idx))
-            bins = response_bins(model, theta, data, edges)
+            bins = bin_pivots(pivot(model.validate_theta(_from_internal(phi, log_idx))), edges)
         except (CondgofError, FloatingPointError):
             return np.inf
         return _pearson(np.bincount(bins * J + cells, minlength=L * J).reshape(L, J), E)

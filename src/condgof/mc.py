@@ -36,6 +36,7 @@ from .errors import (
     InsufficientDataError,
     InvalidArgumentError,
     OutOfSupportError,
+    as_float_array,
     as_integer,
     whole_fields,
 )
@@ -74,9 +75,10 @@ class DgpSpec:
                 f"unknown covariate law {self.covariate_law!r}; known: {COVARIATE_LAWS}"
             )
         whole_fields(self, n=1, k=1)
-        object.__setattr__(self, "true_params", tuple(float(v) for v in self.true_params))
-        if not all(map(math.isfinite, self.true_params)):
-            raise InvalidArgumentError(f"true_params must be finite, got {self.true_params}")
+        params = as_float_array("true_params", self.true_params)
+        if params.ndim != 1 or not np.isfinite(params).all():
+            raise InvalidArgumentError(f"true_params must be finite numbers, got {self.true_params}")
+        object.__setattr__(self, "true_params", tuple(params.tolist()))
         want = self.k + DGP_FAMILIES[self.family]
         if len(self.true_params) != want:
             raise InvalidArgumentError(

@@ -8,17 +8,18 @@ covariates, which is the fact the downstream contingency tests exploit.
 
 Families implement vectorized cdf / log_density / score over whole datasets
 and may add pivot / pivot_edges (a theta-free monotone map of v and the bin
-thresholds under it; response_bins is the one binning rule) and closed-form
-Wald moments, bin_score_means giving factors G (L x p) and h (n x p).
-Custom families subclass ConditionalModel; the two built-in ones cover a
-Gaussian linear regression (location-scale) and an exponential regression
-with log-linear rate.
+thresholds under it; response_bins is the one binning rule), pivot_map (the
+pivot bound to fixed data, for repeated theta) and closed-form Wald moments,
+bin_score_means giving factors G (L x p) and h (n x p). Custom families
+subclass ConditionalModel; the built-in ones cover a Gaussian linear
+regression (location-scale) and an exponential regression with log-linear rate.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -129,6 +130,15 @@ class ConditionalModel(ABC):
         """An increasing map of F(y | x, theta) with a theta-free law. Default: the CDF."""
         return self.cdf(y, x, theta)
 
+    def pivot_map(self, y: np.ndarray, x: np.ndarray):
+        """theta -> pivot(y, x, theta) for fixed data and a validated theta. Default: pivot."""
+        return partial(self.pivot, y, x)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "pivot" in vars(cls) and "pivot_map" not in vars(cls):  # the map follows pivot
+            cls.pivot_map = ConditionalModel.pivot_map
+
     def pivot_edges(self, thresholds: np.ndarray) -> np.ndarray:
         """The pivot law's quantiles at the bin thresholds. Default: the thresholds."""
         return np.asarray(thresholds, dtype=np.float64)
@@ -154,8 +164,10 @@ class ConditionalModel(ABC):
 
 
 def _design(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    return np.hstack([np.ones((n, 1)), x])
+    d = np.empty((x.shape[0], x.shape[1] + 1))
+    d[:, 0] = 1.0
+    d[:, 1:] = x
+    return d
 
 
 class GaussianLinearModel(ConditionalModel):
@@ -181,10 +193,16 @@ class GaussianLinearModel(ConditionalModel):
             )
         return th
 
+    @staticmethod
+    def _pivot_of(d, y, th) -> np.ndarray:
+        return (y - d @ th[:-1]) / th[-1]
+
     def pivot(self, y, x, theta) -> np.ndarray:
         """Standardized residual (y - mu(x)) / sigma, standard normal."""
-        th = self.validate_theta(theta)
-        return (y - _design(x) @ th[: self.k + 1]) / th[-1]
+        return self._pivot_of(_design(x), y, self.validate_theta(theta))
+
+    def pivot_map(self, y, x):
+        return partial(self._pivot_of, _design(x), y)
 
     def pivot_edges(self, thresholds) -> np.ndarray:
         inner = [backend.std_normal_quantile(t) for t in np.asarray(thresholds)[1:-1]]
@@ -246,11 +264,17 @@ class ExponentialRegressionModel(ConditionalModel):
     def validate_theta(self, theta) -> np.ndarray:
         return self._check_theta_base(theta)
 
+    @staticmethod
+    def _pivot_of(d, y, th) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(d @ th) * y
+
     def pivot(self, y, x, theta) -> np.ndarray:
         """rate * y, standard exponential for y >= 0; an overflowed rate gives the limit."""
-        th = self.validate_theta(theta)
-        with np.errstate(over="ignore"):
-            return np.exp(_design(x) @ th) * y
+        return self._pivot_of(_design(x), y, self.validate_theta(theta))
+
+    def pivot_map(self, y, x):
+        return partial(self._pivot_of, _design(x), y)
 
     def pivot_edges(self, thresholds) -> np.ndarray:
         t = np.asarray(thresholds, dtype=np.float64)

@@ -439,7 +439,7 @@ class TestSimulateCommand:
                      "covariate_law": "uniform", "n": 200.5, "k": 2}, "n must be an integer"),
             ("dgp", {"family": "gaussian_linear", "true_params": [0.5, 1.0, -0.7, 1.0],
                      "covariate_law": "uniform", "n": 200, "k": True}, "k must be an integer"),
-            ("dgp", {"family": "gaussian_linear", "true_params": [0, 1, "nan", 1.0],
+            ("dgp", {"family": "gaussian_linear", "true_params": [0, 1, float("nan"), 1.0],
                      "covariate_law": "uniform", "n": 200, "k": 2}, "true_params must be finite"),
             ("partition", {"kind": "gessaman", "T": 2.5}, "T must be an integer"),
             ("partition", {"kind": "rtp", "T": 2, "r": 1.5}, "r must be an integer"),
@@ -465,6 +465,10 @@ class TestSimulateCommand:
             ("levels", ["0.05"], "levels must be a list"),
             ("levels", [True], "levels must be a list"),
             ("theta", [0.5, 1.0, -0.7, -1.0], "invalid theta: gaussian_linear: sigma must be >="),
+            # numbers written as strings are refused, as they are for theta
+            ("dgp", {"family": "gaussian_linear", "true_params": ["0.5", "1", "-0.7", "1"],
+                     "covariate_law": "uniform", "n": 200, "k": 2},
+             "true_params must be a rectangular array of numbers"),
         ],
     )
     def test_config_mismatch_exit_2_before_any_replication(

@@ -23,10 +23,13 @@ from condgof import (
     mle_numeric,
     pearson_stat,
     rosenblatt,
+    rtp_partition,
 )
 from condgof.models import ConditionalModel, bin_pivots, log_likelihood
 from condgof.stats import _score_moments
 from condgof.tabulate import tabulate_cells
+
+import min_chisq_oracle
 
 
 def cross_classify(v, x, grid, part):
@@ -373,6 +376,61 @@ class TestMinChisq:
                 OptimizerConfig(**kwargs)
         cfg = OptimizerConfig(max_iterations=np.int64(20), seed=2**64 - 1)
         assert type(cfg.max_iterations) is int and cfg.seed == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [101, 202, 303, 404])
+    def test_matches_list_based_oracle(self, seed):
+        # the array simplex and the data-bound pivot change no bit of the result
+        rng = np.random.Generator(np.random.Philox(seed))
+        x2 = rng.uniform(-1, 1, (500, 2))
+        gauss = Dataset(y=0.5 + x2 @ [1.0, -0.7] + rng.standard_normal(500), x=x2)
+        x1 = rng.uniform(-1, 1, (300, 1))
+        expo = Dataset(y=rng.exponential(1.0, 300) / np.exp(0.2 + 0.8 * x1[:, 0]), x=x1)
+        cases = [
+            (GaussianLinearModel(k=2), gauss, rtp_partition(x2, 3, 2, seed)[0],
+             mle_gaussian_linear(gauss)),
+            (ExponentialRegressionModel(k=1), expo, gessaman_partition(x1, 4)[0], np.zeros(2)),
+        ]
+        config = OptimizerConfig(restarts=2, seed=seed, max_iterations=200)
+        for model, data, part, init in cases:
+            args = (model, data, balanced_grid(4), part, init, config)
+            got = min_chisq_estimate(*args)
+            assert np.array_equal(got, min_chisq_oracle.min_chisq_estimate(*args))
+            assert not np.array_equal(got, init)
+
+    def test_sigma_below_floor_scores_inf(self):
+        # a simplex step below sigma = 1e-12 is refused by validate_theta and
+        # scores +inf; the data-bound pivot never sees it
+        refused, pivoted = [], []
+
+        class Recording(GaussianLinearModel):
+            def validate_theta(self, theta):
+                try:
+                    return super().validate_theta(theta)
+                except InvalidParameterError:
+                    refused.append(theta[-1])
+                    raise
+
+            def pivot_map(self, y, x):
+                inner = super().pivot_map(y, x)
+                return lambda th: pivoted.append(th[-1]) or inner(th)
+
+        rng = np.random.Generator(np.random.Philox(5))
+        x = rng.uniform(-1, 1, (200, 1))
+        data = Dataset(y=x[:, 0] + rng.standard_normal(200), x=x)
+        args = (Recording(k=1), data, balanced_grid(4), gessaman_partition(x, 2)[0],
+                np.array([0.0, 1.0, 1.1e-12]), OptimizerConfig(restarts=0))
+        est = min_chisq_estimate(*args)
+        assert refused and max(refused) < 1e-12 <= min(pivoted)
+        assert np.array_equal(est, min_chisq_oracle.min_chisq_estimate(*args))
+
+    def test_covariate_count_checked_before_the_simplex(self):
+        data = _gaussian_data(17, 100, beta=(1.0, 2.0, 3.0))
+        part, _ = gessaman_partition(data.x, 2)
+        with pytest.raises(InvalidArgumentError, match="model expects k=1 covariates, data has"):
+            min_chisq_estimate(
+                GaussianLinearModel(k=1), data, balanced_grid(4), part,
+                np.array([0.0, 1.0, 1.0]), OptimizerConfig(restarts=0),
+            )
 
 
 class _OuterProduct(GaussianLinearModel):

@@ -117,8 +117,12 @@ class TestConfigValidation:
             with pytest.raises(InvalidArgumentError, match="invalid theta: .*sigma must be >="):
                 _known_cfg(theta=(0.5, 1.0, -0.7, sigma))
         with pytest.raises(InvalidArgumentError, match="true_params must be finite"):
-            DgpSpec(family="gaussian_linear", true_params=(0, 1, "nan"),
+            DgpSpec(family="gaussian_linear", true_params=(0, 1, float("nan")),
                     covariate_law="uniform", n=10, k=1)
+        for bad in (("0", "1", "1"), 1.0, ((0, 1, 1),)):  # strings, a scalar, a 2-d list
+            with pytest.raises(InvalidArgumentError, match="^true_params must be [^\n]*$"):
+                DgpSpec(family="gaussian_linear", true_params=bad,
+                        covariate_law="uniform", n=10, k=1)
         with pytest.raises(InvalidArgumentError, match="n must be an integer"):
             DgpSpec(family="gaussian_linear", true_params=(0, 1, 1),
                     covariate_law="uniform", n=10.5, k=1)

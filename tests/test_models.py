@@ -22,7 +22,7 @@ from condgof.errors import (
     ModelEvaluationError,
 )
 from condgof.mc import ks_uniform_distance
-from condgof.models import log_likelihood, response_bins
+from condgof.models import _design, log_likelihood, response_bins
 
 
 class TestDataset:
@@ -286,6 +286,71 @@ class TestResponseBins:
             v = model.cdf(data.y, data.x, (1e5, 0.0))
         np.testing.assert_array_equal(bins, [3, 3])
         np.testing.assert_array_equal(v, [1.0, 1.0])
+
+
+class _ScaledPivot(GaussianLinearModel):
+    """Redefines pivot alone: pivot_map must follow it, not the family's formula."""
+
+    def pivot(self, y, x, theta):
+        return 2.0 * GaussianLinearModel.pivot(self, y, x, theta)
+
+
+class _LocationCdf(ConditionalModel):
+    """A custom family with only a CDF: pivot and pivot_map fall back to it."""
+
+    param_dim = 1
+    validate_theta = ConditionalModel._check_theta_base
+
+    def cdf(self, y, x, theta):
+        return backend.normal_cdf(y - theta[0])
+
+    def log_density(self, y, x, theta):
+        raise NotImplementedError
+
+    def score(self, y, x, theta):
+        raise NotImplementedError
+
+
+class TestPivotMap:
+    def test_design_is_ones_then_x(self):
+        x = np.random.Generator(np.random.Philox(1)).uniform(-1, 1, (50, 3))
+        d = _design(x)
+        assert d.flags.c_contiguous
+        assert d.tobytes() == np.hstack([np.ones((50, 1)), x]).tobytes()
+
+    def test_equals_pivot_bit_for_bit(self):
+        rng = np.random.Generator(np.random.Philox(2))
+        for k in (1, 2, 5):
+            x = rng.uniform(-1, 1, (300, k))
+            beta = rng.normal(0.0, 1.0, k + 1)
+            cases = [
+                (GaussianLinearModel(k), np.append(beta, 0.7), rng.standard_normal(300)),
+                (ExponentialRegressionModel(k), beta, rng.exponential(1.0, 300)),
+                # an overflowed rate: inf, and NaN at a zero response
+                (ExponentialRegressionModel(k), np.append(800.0, beta[1:]),
+                 np.append(0.0, rng.exponential(1.0, 299))),
+            ]
+            for model, theta, y in cases:
+                bound = model.pivot_map(y, x)
+                with np.errstate(invalid="ignore"):
+                    got, want = bound(model.validate_theta(theta)), model.pivot(y, x, theta)
+                    assert got.tobytes() == want.tobytes()
+                    # the bound map holds no state between calls
+                    assert bound(model.validate_theta(theta)).tobytes() == want.tobytes()
+
+    def test_custom_families_go_through_pivot(self):
+        rng = np.random.Generator(np.random.Philox(3))
+        x = rng.uniform(-1, 1, (100, 1))
+        y = rng.standard_normal(100)
+        theta = np.array([0.2, 0.5, 1.3])
+        for model in (_ScaledPivot(1), _CdfOnly(1)):
+            assert model.pivot_map(y, x)(theta).tobytes() == model.pivot(y, x, theta).tobytes()
+        scaled = _ScaledPivot(1).pivot_map(y, x)(theta)
+        np.testing.assert_array_equal(scaled, 2.0 * GaussianLinearModel(1).pivot(y, x, theta))
+        cdf_only = _CdfOnly(1).pivot_map(y, x)(theta)
+        np.testing.assert_array_equal(cdf_only, _CdfOnly(1).cdf(y, x, theta))
+        location = _LocationCdf(1).pivot_map(y, x)(np.array([0.3]))
+        np.testing.assert_array_equal(location, backend.normal_cdf(y - 0.3))
 
 
 class TestHelpers:
