@@ -51,8 +51,9 @@ _ESTIMATOR_FLAGS = {
 def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
     """Columns y (n,) and x (n, len(x_cols)) of a numeric CSV, C-contiguous float64.
 
-    y is None when y_col is None. The header row is required and every data
-    value must be a finite decimal float. Two readers give the same block of
+    y is None when y_col is None. The header row is required (a leading
+    UTF-8 byte-order mark is dropped) and every data value must be a finite
+    decimal float. Two readers give the same block of
     the wanted columns: _read_csv_bulk parses them with np.loadtxt, and
     _read_csv_strict parses every cell with Python's float(). The bulk parse
     runs when the file decodes as UTF-8, holds no quote character (csv
@@ -76,7 +77,7 @@ def read_csv_columns(path: str, y_col: str | None, x_cols: list[str]):
 def _read_csv_bulk(path: str, wanted: list[str]) -> np.ndarray | None:
     """The wanted columns parsed by np.loadtxt, or None when the strict reader must run."""
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             first = fh.readline()
             quoted = '"' in first or '"' in fh.read()
     except (OSError, UnicodeDecodeError):
@@ -104,7 +105,7 @@ def _read_csv_bulk(path: str, wanted: list[str]) -> np.ndarray | None:
 def _read_csv_strict(path: str, wanted: list[str]) -> np.ndarray:
     """The wanted columns of a strict numeric CSV: header required, finite decimal floats only."""
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
+        with open(path, "r", newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

@@ -6,13 +6,13 @@ each observed response yields v_i = F(y_i | x_i, theta); when theta is the
 truth these transformed values are uniform on [0, 1] and independent of the
 covariates, which is the fact the downstream contingency tests exploit.
 
-Families implement vectorized cdf / log_density / score over whole datasets
-and may add pivot / pivot_edges (a theta-free monotone map of v and the bin
-thresholds under it; response_bins is the one binning rule), pivot_map (the
-pivot bound to fixed data, for repeated theta) and closed-form Wald moments,
-bin_score_means giving factors G (L x p) and h (n x p). Custom families
-subclass ConditionalModel; the built-in ones cover a Gaussian linear
-regression (location-scale) and an exponential regression with log-linear rate.
+Families implement param_dim, validate_theta and vectorized cdf / log_density /
+score over whole datasets. They may add pivot_map / pivot_edges (a theta-free-law
+increasing map of v bound to fixed data, and the bin thresholds under it;
+response_bins is the one binning rule), log_scale_indices, and closed-form Wald
+moments expected_information and bin_score_means, the latter giving factors
+G (L x p) and h (n x p). Custom families subclass ConditionalModel; the built-in
+ones cover a Gaussian linear regression and an exponential regression.
 """
 
 from __future__ import annotations
@@ -126,18 +126,10 @@ class ConditionalModel(ABC):
         """
         return None
 
-    def pivot(self, y: np.ndarray, x: np.ndarray, theta) -> np.ndarray:
-        """An increasing map of F(y | x, theta) with a theta-free law. Default: the CDF."""
-        return self.cdf(y, x, theta)
-
     def pivot_map(self, y: np.ndarray, x: np.ndarray):
-        """theta -> pivot(y, x, theta) for fixed data and a validated theta. Default: pivot."""
-        return partial(self.pivot, y, x)
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "pivot" in vars(cls) and "pivot_map" not in vars(cls):  # the map follows pivot
-            cls.pivot_map = ConditionalModel.pivot_map
+        """theta -> an increasing map of F(y | x, theta) with a theta-free law, for
+        fixed data and a validated theta. Default: the CDF."""
+        return partial(self.cdf, y, x)
 
     def pivot_edges(self, thresholds: np.ndarray) -> np.ndarray:
         """The pivot law's quantiles at the bin thresholds. Default: the thresholds."""
@@ -195,11 +187,8 @@ class GaussianLinearModel(ConditionalModel):
 
     @staticmethod
     def _pivot_of(d, y, th) -> np.ndarray:
-        return (y - d @ th[:-1]) / th[-1]
-
-    def pivot(self, y, x, theta) -> np.ndarray:
         """Standardized residual (y - mu(x)) / sigma, standard normal."""
-        return self._pivot_of(_design(x), y, self.validate_theta(theta))
+        return (y - d @ th[:-1]) / th[-1]
 
     def pivot_map(self, y, x):
         return partial(self._pivot_of, _design(x), y)
@@ -209,18 +198,18 @@ class GaussianLinearModel(ConditionalModel):
         return np.array([-np.inf] + inner + [np.inf])
 
     def cdf(self, y, x, theta) -> np.ndarray:
-        return backend.normal_cdf(self.pivot(y, x, theta))
+        return backend.normal_cdf(self._pivot_of(_design(x), y, self.validate_theta(theta)))
 
     def log_density(self, y, x, theta) -> np.ndarray:
         th = self.validate_theta(theta)
-        z = self.pivot(y, x, th)
+        z = self._pivot_of(_design(x), y, th)
         return -0.5 * _LOG_2PI - np.log(th[-1]) - 0.5 * z * z
 
     def score(self, y, x, theta) -> np.ndarray:
         th = self.validate_theta(theta)
         sigma = th[-1]
-        z = self.pivot(y, x, th)
         d = _design(x)
+        z = self._pivot_of(d, y, th)
         s = np.empty((y.shape[0], self.param_dim))
         s[:, : self.k + 1] = d * (z / sigma)[:, None]
         s[:, self.k + 1] = (z * z - 1.0) / sigma
@@ -266,12 +255,9 @@ class ExponentialRegressionModel(ConditionalModel):
 
     @staticmethod
     def _pivot_of(d, y, th) -> np.ndarray:
+        """rate * y, standard exponential for y >= 0; an overflowed rate gives the limit."""
         with np.errstate(over="ignore"):
             return np.exp(d @ th) * y
-
-    def pivot(self, y, x, theta) -> np.ndarray:
-        """rate * y, standard exponential for y >= 0; an overflowed rate gives the limit."""
-        return self._pivot_of(_design(x), y, self.validate_theta(theta))
 
     def pivot_map(self, y, x):
         return partial(self._pivot_of, _design(x), y)
@@ -281,7 +267,8 @@ class ExponentialRegressionModel(ConditionalModel):
         return np.concatenate([[0.0], -np.log1p(-t[1:-1]), [np.inf]])
 
     def cdf(self, y, x, theta) -> np.ndarray:
-        return np.where(y < 0.0, 0.0, -np.expm1(-self.pivot(y, x, theta)))
+        u = self._pivot_of(_design(x), y, self.validate_theta(theta))
+        return np.where(y < 0.0, 0.0, -np.expm1(-u))
 
     def log_density(self, y, x, theta) -> np.ndarray:
         th = self.validate_theta(theta)
@@ -290,8 +277,9 @@ class ExponentialRegressionModel(ConditionalModel):
         return np.where(y < 0.0, -np.inf, out)
 
     def score(self, y, x, theta) -> np.ndarray:
-        w = np.where(y < 0.0, 0.0, 1.0 - self.pivot(y, x, theta))
-        return _design(x) * w[:, None]
+        d = _design(x)
+        w = np.where(y < 0.0, 0.0, 1.0 - self._pivot_of(d, y, self.validate_theta(theta)))
+        return d * w[:, None]
 
     def expected_information(self, x, theta) -> np.ndarray:
         self.validate_theta(theta)
@@ -334,7 +322,7 @@ def bin_pivots(u, edges: np.ndarray) -> np.ndarray:
 def response_bins(model: ConditionalModel, theta, data: Dataset, edges: np.ndarray) -> np.ndarray:
     """0-based response bin of each row, edges being model.pivot_edges(thresholds)."""
     _check_k(model, data)
-    return bin_pivots(model.pivot(data.y, data.x, theta), edges)
+    return bin_pivots(model.pivot_map(data.y, data.x)(model.validate_theta(theta)), edges)
 
 
 def log_likelihood(model: ConditionalModel, theta, data: Dataset) -> float:

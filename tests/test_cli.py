@@ -1007,6 +1007,35 @@ class TestCsvReaders:
         y, x = read_csv_columns(str(path), y_col, x_cols)
         assert y.tobytes() == expected[0].tobytes() and x.tobytes() == expected[1].tobytes()
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["bulk", "strict"])
+    @pytest.mark.parametrize("command", ["test", "partition"])
+    def test_utf8_bom_reads_as_without(self, gauss_csv, tmp_path, monkeypatch, command, quoted):
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark; a quoted
+        # field sends the file to the strict reader
+        text = Path(gauss_csv).read_text(encoding="utf-8")
+        if quoted:
+            text = text.replace("junk", '"junk"', 1)
+        strict_runs = []
+        strict = cli._read_csv_strict
+        monkeypatch.setattr(cli, "_read_csv_strict", lambda *a: strict_runs.append(1) or strict(*a))
+        docs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.csv"
+            path.write_text(text, encoding=encoding)
+            out = tmp_path / f"{encoding}.json"
+            # the mark sits on the first column, so partition takes it as a covariate
+            argv = {
+                "test": ["test", "--y", "y", "--x", "x1,x2", "--model", "gaussian_linear"],
+                "partition": ["partition", "--x", "y,x1", "--rule", "gessaman", "--T", "3"],
+            }[command]
+            assert main([*argv, "--data", str(path), "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            assert doc["config"].pop("data") == str(path)
+            docs.append(doc)
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfy,")
+        assert docs[0] == docs[1]
+        assert len(strict_runs) == (2 if quoted else 0)
+
 
 def test_imports_load_no_test_extra():
     # pyproject.toml declares numpy the only runtime dependency; the test extra must stay out

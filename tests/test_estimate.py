@@ -343,8 +343,11 @@ class TestMinChisq:
     def test_model_programming_error_propagates(self):
         # only the package's own errors read as an infinite objective
         class BrokenPivot(LocationModel):
-            def pivot(self, y, x, theta):
-                raise TypeError("bug in the family")
+            def pivot_map(self, y, x):
+                def pivot(theta):
+                    raise TypeError("bug in the family")
+
+                return pivot
 
         rng = np.random.Generator(np.random.Philox(16))
         x = rng.uniform(-1, 1, 80)

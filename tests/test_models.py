@@ -13,6 +13,7 @@ from condgof import (
     GaussianLinearModel,
     backend,
     balanced_grid,
+    models,
     resolve_model,
     rosenblatt,
 )
@@ -228,13 +229,10 @@ class TestExponentialRegression:
 
 
 class _CdfOnly(GaussianLinearModel):
-    """The Gaussian family on the base-class pivot contract: pivot = cdf."""
+    """The Gaussian family on the base-class pivot contract: pivot_map = cdf."""
 
-    pivot = ConditionalModel.pivot
+    pivot_map = ConditionalModel.pivot_map
     pivot_edges = ConditionalModel.pivot_edges
-
-    def cdf(self, y, x, theta):
-        return backend.normal_cdf(GaussianLinearModel.pivot(self, y, x, theta))
 
 
 def _old_bins(grid, v):
@@ -288,15 +286,8 @@ class TestResponseBins:
         np.testing.assert_array_equal(v, [1.0, 1.0])
 
 
-class _ScaledPivot(GaussianLinearModel):
-    """Redefines pivot alone: pivot_map must follow it, not the family's formula."""
-
-    def pivot(self, y, x, theta):
-        return 2.0 * GaussianLinearModel.pivot(self, y, x, theta)
-
-
 class _LocationCdf(ConditionalModel):
-    """A custom family with only a CDF: pivot and pivot_map fall back to it."""
+    """A custom family with only a CDF: pivot_map falls back to it."""
 
     param_dim = 1
     validate_theta = ConditionalModel._check_theta_base
@@ -322,6 +313,7 @@ class TestPivotMap:
         rng = np.random.Generator(np.random.Philox(2))
         for k in (1, 2, 5):
             x = rng.uniform(-1, 1, (300, k))
+            d = _design(x)
             beta = rng.normal(0.0, 1.0, k + 1)
             cases = [
                 (GaussianLinearModel(k), np.append(beta, 0.7), rng.standard_normal(300)),
@@ -332,25 +324,73 @@ class TestPivotMap:
             ]
             for model, theta, y in cases:
                 bound = model.pivot_map(y, x)
-                with np.errstate(invalid="ignore"):
-                    got, want = bound(model.validate_theta(theta)), model.pivot(y, x, theta)
-                    assert got.tobytes() == want.tobytes()
+                th = model.validate_theta(theta)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if model.name == "gaussian_linear":
+                        want = (y - d @ th[:-1]) / th[-1]
+                    else:
+                        want = np.exp(d @ th) * y
+                    assert bound(th).tobytes() == want.tobytes()
                     # the bound map holds no state between calls
-                    assert bound(model.validate_theta(theta)).tobytes() == want.tobytes()
+                    assert bound(th).tobytes() == want.tobytes()
 
-    def test_custom_families_go_through_pivot(self):
+    def test_custom_families_default_to_the_cdf(self):
         rng = np.random.Generator(np.random.Philox(3))
         x = rng.uniform(-1, 1, (100, 1))
         y = rng.standard_normal(100)
         theta = np.array([0.2, 0.5, 1.3])
-        for model in (_ScaledPivot(1), _CdfOnly(1)):
-            assert model.pivot_map(y, x)(theta).tobytes() == model.pivot(y, x, theta).tobytes()
-        scaled = _ScaledPivot(1).pivot_map(y, x)(theta)
-        np.testing.assert_array_equal(scaled, 2.0 * GaussianLinearModel(1).pivot(y, x, theta))
         cdf_only = _CdfOnly(1).pivot_map(y, x)(theta)
         np.testing.assert_array_equal(cdf_only, _CdfOnly(1).cdf(y, x, theta))
         location = _LocationCdf(1).pivot_map(y, x)(np.array([0.3]))
         np.testing.assert_array_equal(location, backend.normal_cdf(y - 0.3))
+
+
+def _written(family, method, y, x, th):
+    """The built-in methods as formulas, each op in the order the family runs it."""
+    d = _design(x)
+    if family == "gaussian_linear":
+        sigma = th[-1]
+        z = (y - d @ th[:-1]) / sigma
+        return {
+            "cdf": lambda: backend.normal_cdf(z),
+            "log_density": lambda: -0.5 * 1.8378770664093453 - np.log(sigma) - 0.5 * z * z,
+            "score": lambda: np.column_stack([d * (z / sigma)[:, None], (z * z - 1.0) / sigma]),
+        }[method]()
+    eta = d @ th
+    u = np.exp(eta) * y
+    return {
+        "cdf": lambda: np.where(y < 0.0, 0.0, -np.expm1(-u)),
+        "log_density": lambda: np.where(y < 0.0, -np.inf, eta - np.exp(eta) * y),
+        "score": lambda: d * np.where(y < 0.0, 0.0, 1.0 - u)[:, None],
+    }[method]()
+
+
+class TestOneDesignPerCall:
+    @pytest.mark.parametrize("method", ["cdf", "log_density", "score"])
+    @pytest.mark.parametrize("family", ["gaussian_linear", "exponential_regression"])
+    def test_design_and_validation_run_once(self, monkeypatch, family, method):
+        rng = np.random.Generator(np.random.Philox(4))
+        x = rng.uniform(-1, 1, (200, 2))
+        # a negative response reaches the exponential family's zero-mass branch
+        y = np.append(-0.5, rng.exponential(1.0, 199))
+        model = resolve_model(family, 2)
+        theta = np.array([0.2, -0.4, 0.3, 1.7])[: model.param_dim]
+        want = _written(family, method, y, x, theta)
+        calls = {"design": 0, "validate": 0}
+
+        def design(x):
+            calls["design"] += 1
+            return _design(x)
+
+        def validate(theta, inner=model.validate_theta):
+            calls["validate"] += 1
+            return inner(theta)
+
+        monkeypatch.setattr(models, "_design", design)
+        monkeypatch.setattr(model, "validate_theta", validate)
+        got = getattr(model, method)(y, x, theta)
+        assert calls == {"design": 1, "validate": 1}
+        assert got.tobytes() == want.tobytes()
 
 
 class TestHelpers:
