@@ -41,7 +41,8 @@ from .errors import (
     whole_fields,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
-from .models import ConditionalModel, Dataset, _check_k, resolve_model, response_bins
+from .models import ConditionalModel, Dataset, GaussianLinearModel, _check_k
+from .models import resolve_model, response_bins
 from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import TestReport, WaldInputs, check_request, policy_df, run_test
 from .tabulate import ContingencyTable, as_cells, balanced_grid, tabulate_cells
@@ -223,9 +224,10 @@ def run_pipeline(
     (gessaman_partition, rtp_partition, marginal_grid_partition) returns, or
     partition.locate0(data.x) for a partition not built from the data. The
     table and the raw-MLE Wald share it. estimator is one of ESTIMATORS.
-    "known" takes theta as given and requires it. "raw_mle" (closed-form
-    Gaussian MLE, otherwise mle_numeric from zero) and "min_chisq" (the raw
-    MLE refined by min_chisq_estimate under OptimizerConfig(restarts=2,
+    "known" takes theta as given and requires it. "raw_mle" (least squares
+    for GaussianLinearModel itself, not a subclass; otherwise mle_numeric
+    from zero, or 1 for a log-scale parameter) and "min_chisq" (the raw MLE
+    refined by min_chisq_estimate under OptimizerConfig(restarts=2,
     seed=seed, max_iterations=200)) refuse a theta; seed feeds only those
     min-chi-square restarts. A request stats.check_request refuses, a model
     for another k than data.k and bad cells raise InvalidArgumentError,
@@ -246,14 +248,13 @@ def run_pipeline(
             f"outside the support y >= {model.support_lower} of {model.name}"
         )
     if estimator != "known":
-        if model.name == "gaussian_linear":
+        if type(model) is GaussianLinearModel:  # a subclass may change the law
             theta = mle_gaussian_linear(data)
         else:
+            init = np.zeros(model.param_dim)
+            init[list(model.log_scale_indices())] = 1.0  # zero on the log scale
             theta = mle_numeric(
-                model,
-                data,
-                np.zeros(model.param_dim),
-                OptimizerConfig(max_iterations=500, tolerance=1e-6),
+                model, data, init, OptimizerConfig(max_iterations=500, tolerance=1e-6)
             )
     if estimator == "min_chisq":
         budget = OptimizerConfig(restarts=2, seed=seed, max_iterations=200)

@@ -234,7 +234,10 @@ class GaussianLinearModel(ConditionalModel):
         g_loc = (ph[:-1] - ph[1:]) / sigma  # multiplies each design column
         g_scale = (zph[:-1] - zph[1:]) / sigma
         G = np.repeat(np.column_stack([g_loc, g_scale]), [self.k + 1, 1], axis=1)
-        return G, np.hstack([_design(x), np.ones((x.shape[0], 1))])
+        h = np.empty((x.shape[0], self.k + 2))  # [1, x, 1]
+        h[:, [0, -1]] = 1.0
+        h[:, 1:-1] = x
+        return G, h
 
 
 class ExponentialRegressionModel(ConditionalModel):

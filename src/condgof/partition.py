@@ -25,15 +25,17 @@ constructions are provided, each producing cells that tile R^k exactly:
 - product_partition: the product of given per-axis edges (the law grid of
   the Monte Carlo engine is one).
 
-The data-dependent rules use the same split primitive: group sizes are
-ceil(m/T) for the first m mod T groups and floor(m/T) for the rest, and
-each threshold is placed at the value of the last point of its left group,
-so a value equal to a threshold belongs to the left cell. Duplicate values
-straddling a nominal cut are pushed left as a block; if that exhausts the
-points before T strictly increasing thresholds exist, the split is
-impossible and InsufficientDataError is raised. A built partition depends
-only on the covariate values, not on the order of the rows: a zero
-threshold is written 0.0, whichever sign its points' zeros carry.
+The data-dependent rules share one cut rule, which finds each cut by rank
+selection, not by sorting. Group sizes are ceil(m/T) for the first m mod T
+groups and floor(m/T) for the rest. The groups are peeled off from the
+left: a group's threshold is the value at its nominal size's rank among
+the points left, found by one selection, and the group is every point left
+at or below it, so a value equal to a threshold belongs to the left cell
+and a run of duplicates at a cut stays left. If that exhausts the points
+before T strictly increasing thresholds exist, the split is impossible and
+InsufficientDataError is raised. A built partition depends only on the
+covariate values, not on the order of the rows: a zero threshold is
+written 0.0, whichever sign its points' zeros carry.
 
 The data-dependent builders return (partition, cells), cells each row's int64
 0-based cell taken from the build; like locate0 they follow lower < x <= upper,
@@ -144,31 +146,38 @@ def _builder_input(x, **ints) -> np.ndarray:
     return pts
 
 
-def _split_cuts(sorted_vals: np.ndarray, T: int) -> list[int]:
-    """End positions (exclusive) of the first T-1 groups in sorted order.
+def _cut(rows, col: np.ndarray, T: int) -> tuple[list, list[float]]:
+    """Split rows into T groups by their values col[rows]: (groups, thresholds).
 
-    Group sizes follow the ceil-first rule; a cut landing inside a run of
-    duplicates advances to the end of the run so the full run stays left.
+    Groups are peeled off from the left one at a time. A group of nominal
+    size s (ceil-first) ends at the value top of rank s among the rows left,
+    found by one selection; the rows equal to top stay left with it, so the
+    group is every row left with a value <= top, and top is its threshold.
+    The rows are split by comparing values, not by an argpartition order:
+    numpy's scalar introselect leaves values equal to top on both sides of
+    it. Each group keeps the order its rows have in rows.
     """
-    m = sorted_vals.shape[0]
+    m = rows.shape[0]
     if m < T:
         raise InsufficientDataError(f"cannot split {m} points into {T} nonempty groups")
     base, extra = divmod(m, T)
-    sizes = [base + 1] * extra + [base] * (T - extra)
-    cuts = []
-    pos = 0
+    groups, cuts = [], []
     for g in range(T - 1):
-        pos += sizes[g]
-        if cuts:
-            pos = max(pos, cuts[-1] + 1)
-        if pos < m and sorted_vals[pos] == sorted_vals[pos - 1]:
-            pos = int(sorted_vals.searchsorted(sorted_vals[pos], side="right"))
-        if pos >= m:
+        v = col.take(rows)
+        # a nominal size past the rows left selects their largest value, and the check raises
+        s = min(base + (g < extra), v.shape[0])
+        top = np.partition(v, s - 1)[s - 1]
+        left = v <= top
+        group = rows.compress(left)
+        if group.shape[0] == v.shape[0]:
             raise InsufficientDataError(
                 f"duplicate coordinate values leave fewer than {T} distinct groups"
             )
-        cuts.append(pos)
-    return cuts
+        groups.append(group)
+        rows = rows.compress(~left)
+        # + 0.0 turns a -0.0 threshold into 0.0, so no tie order shows in the output
+        cuts.append(float(top) + 0.0)
+    return groups + [rows], cuts
 
 
 def _split_node(rows, lo, up, cols: np.ndarray, axis: int, T: int) -> list:
@@ -177,20 +186,15 @@ def _split_node(rows, lo, up, cols: np.ndarray, axis: int, T: int) -> list:
     cols is the points in column-major order, (k, n): cols[axis] is one
     contiguous coordinate.
     """
-    vals = cols[axis].take(rows)
-    order = np.argsort(vals)
-    sorted_vals = vals.take(order)
-    cuts = _split_cuts(sorted_vals, T)
-    # + 0.0 turns a -0.0 threshold into 0.0, so no tie order shows in the output
-    edges = [lo[axis]] + [float(sorted_vals[c - 1]) + 0.0 for c in cuts] + [up[axis]]
-    stops = [0] + cuts + [rows.shape[0]]
+    groups, cuts = _cut(rows, cols[axis], T)
+    edges = [lo[axis], *cuts, up[axis]]
     out = []
-    for g in range(T):
+    for g, child in enumerate(groups):
         nlo = lo.copy()
         nup = up.copy()
         nlo[axis] = edges[g]
         nup[axis] = edges[g + 1]
-        out.append((rows[order[stops[g] : stops[g + 1]]], nlo, nup))
+        out.append((child, nlo, nup))
     return out
 
 
@@ -237,11 +241,11 @@ def product_partition(edges: list[list[float]]) -> Partition:
 def marginal_grid_partition(x, T: int) -> tuple[Partition, np.ndarray]:
     """Product partition from per-axis marginal equal-count edges.
 
-    Each axis is cut independently at its own equal-count thresholds (same
-    ceil-first and last-point-left conventions as the recursive splits),
-    giving J = T^k cells. Unlike gessaman_partition the cuts of one axis do
-    not condition on the others, so this is the natural "grid" rule for raw
-    data with an unknown covariate law. Returns (partition, each row's cell).
+    Each axis is cut independently at its own equal-count thresholds, by
+    the cut rule of the recursive splits, giving J = T^k cells. Unlike
+    gessaman_partition the cuts of one axis do not condition on the others,
+    so this is the natural "grid" rule for raw data with an unknown
+    covariate law. Returns (partition, each row's cell).
     """
     pts = _builder_input(x, T=T)
     n = pts.shape[0]
@@ -249,11 +253,15 @@ def marginal_grid_partition(x, T: int) -> tuple[Partition, np.ndarray]:
         raise InsufficientDataError(f"need at least T = {T} points, got {n}")
     edges_per_axis = []
     cells = np.zeros(n, dtype=np.int64)
-    for vals, col in zip(np.sort(pts, axis=0).T, pts.T):
-        cuts = [float(vals[c - 1]) + 0.0 for c in _split_cuts(vals, T)]
+    every = np.arange(n)
+    for col in pts.T:
+        groups, cuts = _cut(every, col, T)
         edges_per_axis.append([-np.inf] + cuts + [np.inf])
-        # slice i is (cuts[i-1], cuts[i]]; the last axis varies fastest, as in product_partition
-        cells = cells * T + np.searchsorted(cuts, col, side="left")
+        # group i is slice i, (cuts[i-1], cuts[i]]; the last axis varies fastest, as in
+        # product_partition
+        cells *= T
+        for i, rows in enumerate(groups):
+            cells[rows] += i
     return product_partition(edges_per_axis), cells
 
 

@@ -434,3 +434,51 @@ def test_13_exponential_family_size():
     assert BAND[0] <= wald_rate <= BAND[1], f"wald rate outside {BAND}"
     assert summ.mean_df == 15
     assert abs(summ.mean - summ.mean_df) <= 3.0 * se
+
+
+EXP_HIGH_DIM_DGP = DgpSpec(
+    family="exponential_regression",
+    true_params=(0.2,) + (0.3,) * 10,
+    covariate_law="uniform",
+    n=2000,
+    k=10,
+)
+
+
+def test_13_exponential_family_size_high_dimension():
+    """Test 13's gates on test 12's design: k = 10, n = 2000, rtp T = 2, r = 2, L = 5.
+
+    Each replication builds a 21-cell rtp partition on ten covariates and
+    runs Fisher scoring on eleven parameters; J(L - 1) = 84 table df.
+    """
+
+    def config(estimator, stats, master_seed):
+        return SimConfig(
+            dgp=EXP_HIGH_DIM_DGP,
+            model="exponential_regression",
+            estimator=estimator,
+            theta=EXP_HIGH_DIM_DGP.true_params if estimator == "known" else None,
+            L=5,
+            partition=PartitionRule(kind="rtp", T=2, r=2),
+            stats=stats,
+            levels=(0.05,),
+            replications=R,
+            master_seed=master_seed,
+        )
+
+    known = run_experiment(config("known", ("pearson",), 1015))
+    raw = run_experiment(config("raw_mle", ("wald",), 1016))
+    pearson_rate = known.rate("pearson", 0.05)
+    wald_rate = raw.rate("wald", 0.05)
+    summ = raw.summary("wald")
+    se = float(np.sqrt(summ.variance / (raw.replications - raw.failed)))
+    print(
+        f"[13] k = 10 exponential pearson rate {pearson_rate}, wald rate {wald_rate}; wald "
+        f"mean {summ.mean:.4f} vs reported df {summ.mean_df} (3se = {3 * se:.4f}), "
+        f"failed {known.failed} + {raw.failed}"
+    )
+    assert known.failed == 0 and raw.failed == 0
+    assert BAND[0] <= pearson_rate <= BAND[1], f"pearson rate outside {BAND}"
+    assert BAND[0] <= wald_rate <= BAND[1], f"wald rate outside {BAND}"
+    assert summ.mean_df == 84
+    assert abs(summ.mean - summ.mean_df) <= 3.0 * se

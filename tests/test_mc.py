@@ -29,7 +29,9 @@ from condgof import (
     run_replication,
     simulate_dataset,
 )
+from condgof.estimate import mle_gaussian_linear
 from condgof.mc import _build_partition, _rep_streams, ks_uniform_distance
+from condgof.models import ConditionalModel, GaussianLinearModel
 
 NULL_DGP = DgpSpec(
     family="gaussian_linear",
@@ -410,6 +412,47 @@ class TestPipelineInputs:
         for name in ("theta", "seed"):
             assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
         assert params["theta"].default is None and params["seed"].default == 0
+
+
+class _LogisticLinear(GaussianLinearModel):
+    """y | x ~ Logistic(beta0 + beta . x, s): the Gaussian family's parameters, another law."""
+
+    # the Gaussian closed forms and pivot do not hold for this law
+    expected_information = ConditionalModel.expected_information
+    bin_score_means = ConditionalModel.bin_score_means
+    pivot_map = ConditionalModel.pivot_map
+    pivot_edges = ConditionalModel.pivot_edges
+
+    def _z(self, y, x, theta):
+        th = self.validate_theta(theta)
+        return (y - th[0] - x @ th[1:-1]) / th[-1], th[-1]
+
+    def cdf(self, y, x, theta):
+        z, _s = self._z(y, x, theta)
+        return 0.5 + 0.5 * np.tanh(0.5 * z)
+
+    def log_density(self, y, x, theta):
+        z, s = self._z(y, x, theta)
+        return -np.log(s) - 2.0 * np.logaddexp(0.5 * z, -0.5 * z)
+
+    def score(self, y, x, theta):
+        z, s = self._z(y, x, theta)
+        t = np.tanh(0.5 * z)
+        return np.column_stack([t, x * t[:, None], z * t - 1.0]) / s
+
+
+def test_raw_mle_of_a_gaussian_subclass_is_its_own_likelihood():
+    # least squares is the MLE of GaussianLinearModel only; a subclass that
+    # changes the law inherits the name but is fitted by mle_numeric
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1, 1, size=(400, 2))
+    data = Dataset(y=0.5 + x @ [1.0, -0.7] + rng.logistic(size=400), x=x)
+    model = _LogisticLinear(k=2)
+    part, cells = gessaman_partition(data.x, T=2)
+    theta, _table, _reports = run_pipeline(model, data, part, cells, 4, "raw_mle", ("pearson",))
+    assert np.abs(model.score(data.y, data.x, theta).mean(axis=0)).max() < 1e-5
+    # the logistic scale is near its true 1; least squares reads the sd, pi / sqrt(3)
+    assert abs(theta[-1] - 1.0) < 0.15 and abs(mle_gaussian_linear(data)[-1] - 1.81) < 0.2
 
 
 class TestAggregate:

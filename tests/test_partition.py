@@ -604,10 +604,17 @@ def _stable_split_node(rows, lo, up, cols, axis, T):
     return out
 
 
+def _stable_cut(rows, col, T):
+    """The cut rule's (groups, thresholds) of one coordinate, from _stable_split_node."""
+    whole = np.array([-np.inf]), np.array([np.inf])
+    children = _stable_split_node(rows, *whole, col[None], 0, T)
+    return [c[0] for c in children], [float(c[2][0]) for c in children[:-1]]
+
+
 def _stable_only():
     """Patch condgof.partition back to stable sorts and the element-wise cut walk."""
     return mock.patch.multiple(
-        "condgof.partition", _split_node=_stable_split_node, _split_cuts=_stable_split_cuts
+        "condgof.partition", _split_node=_stable_split_node, _cut=_stable_cut
     )
 
 
@@ -650,7 +657,7 @@ def _outcome(build):
 
 
 class TestSplitOracle:
-    """The split primitive's fast sort against one stable argsort per split."""
+    """The cut rule's rank selection against one stable argsort per split."""
 
     def test_matches_stable_reference(self):
         failures = 0
@@ -696,3 +703,38 @@ class TestSplitOracle:
                 zero_bounds += re.findall(r"^ +(-?0\.0),?$", got[0], re.MULTILINE)
         # zero thresholds are exercised, and each is written 0.0
         assert len(zero_bounds) > 20 and set(zero_bounds) == {"0.0"}
+
+    @pytest.mark.parametrize("mode", ["distinct", "duplicates", "signed_zeros"])
+    def test_benchmark_shape_matches_stable_reference(self, mode):
+        # the rtp build of the mc_wald_large benchmark: n = 20,000, k = 4, T = 2, r = 20
+        x = _shape_data(mode, 20_000, 4, seed=71, decimals=2)
+
+        def build():
+            return rtp_partition(x, 2, 20, seed=72)
+
+        got = _outcome(build)
+        with _stable_only():
+            assert got == _outcome(build)
+        assert got[0] is not InsufficientDataError
+
+    @pytest.mark.parametrize("T", [4, 5])
+    @pytest.mark.parametrize("mode", ["distinct", "duplicates", "signed_zeros"])
+    def test_many_groups_match_stable_reference(self, mode, T):
+        # T - 1 cuts per split: each group is peeled off the points the last one left
+        x = _shape_data(mode, 3000, 3, seed=80 + T, decimals=1)
+        for builder in (gessaman_partition, marginal_grid_partition):
+            got = _outcome(lambda: builder(x, T))
+            with _stable_only():
+                assert got == _outcome(lambda: builder(x, T)), builder.__name__
+
+
+def _shape_data(mode, n, k, seed, decimals):
+    """n x k covariates: distinct, rounded to `decimals` places, or with zeros of both signs."""
+    x = _uniform(n, k, seed)
+    if mode == "duplicates":  # rounding small negatives also leaves -0.0
+        return np.round(x, decimals)
+    if mode == "signed_zeros":
+        rng = np.random.Generator(np.random.Philox(seed + 1))
+        zero = rng.uniform(size=x.shape) < 0.05
+        x[zero] = np.where(rng.uniform(size=int(zero.sum())) < 0.5, -0.0, 0.0)
+    return x
