@@ -247,15 +247,7 @@ def cmd_test(args) -> int:
         raise DataError(f"{args.partition_file}: {exc}") from exc
     try:
         theta, table, reports = run_pipeline(
-            model,
-            data,
-            partition,
-            cells,
-            args.L,
-            estimator,
-            stats,
-            theta=theta,
-            seed=args.seed,
+            model, data, partition, cells, args.L, estimator, stats, theta=theta
         )
     except OutOfSupportError as exc:
         raise DataError(f"{args.data}: {exc}") from exc
@@ -376,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--T", type=int, default=2, help="children per split")
     p_test.add_argument("--r", type=int, default=1, help="splits per axis (rtp)")
     p_test.add_argument(
-        "--seed", type=int, default=0,
-        help="seed of the partition and of the grouped estimator's restarts (default 0)",
+        "--seed", type=int, default=0, help="seed of the rtp partition (default 0)"
     )
     p_test.add_argument("--stats", default="pearson,lr,wald")
     p_test.add_argument("--partition-file", help="reuse a serialized partition")

@@ -13,12 +13,12 @@ Three routes with different downstream calibration:
   constraint. The log-likelihood sequence is nondecreasing by construction;
   exhausting the iteration budget before the gradient tolerance is met
   raises ConvergenceFailureError carrying the last iterate.
-- min_chisq_estimate: minimizes the Pearson statistic of the cross-
-  classified table over theta with a deterministic Nelder-Mead simplex plus
-  seeded restarts. The objective is piecewise constant in theta (counts only
-  change when a transformed response crosses a bin edge), so the returned
-  point is guaranteed not to be worse than the starting point: the best
-  evaluation ever seen, including the start itself, wins.
+- min_chisq_estimate: one Gauss-Newton step of the grouped problem from the
+  raw MLE, built from the raw-MLE Wald's per-cell score means
+  (stats._score_moments). Pearson is piecewise constant in theta (counts
+  only change when a transformed response crosses a bin edge), so the step
+  is re-binned and kept only when its table fits better than the start's:
+  the returned point is never worse than the starting point.
 """
 
 from __future__ import annotations
@@ -44,16 +44,23 @@ from .models import (
     ConditionalModel,
     Dataset,
     _check_k,
+    _design,
     bin_pivots,
     log_likelihood,
 )
 from .partition import Partition
-from .stats import _pearson
+from .stats import _score_moments
 from .tabulate import UGrid
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
+    """Budget of mle_numeric: max_iterations steps, stopping at gradient tolerance.
+
+    restarts and seed are validated but not read by any estimator;
+    min_chisq_estimate accepts a config and reads none of it.
+    """
+
     max_iterations: int = 500
     tolerance: float = 1e-8
     restarts: int = 3
@@ -72,7 +79,7 @@ def mle_gaussian_linear(data: Dataset) -> np.ndarray:
         raise InvalidArgumentError(
             f"need at least k + 2 = {k + 2} observations, got {n}"
         )
-    design = np.hstack([np.ones((n, 1)), data.x])
+    design = _design(data.x)
     # lstsq's rank uses matrix_rank's default cutoff, eps * max(n, k + 1) * sigma_max
     beta, _res, rank, _sv = np.linalg.lstsq(design, data.y, rcond=None)
     if rank < k + 1:
@@ -125,6 +132,10 @@ def mle_numeric(
     step whose promised rise g'info^-1 g is within 16 ulp of the average log
     likelihood: no step can show a rise there, so theta is returned as the
     optimum.
+
+    The log density must be smooth in theta. Near a kink, such as the
+    optimum of a Laplace-error location, the score never falls to the
+    tolerance, and the fit ends in ConvergenceFailureError.
     """
     theta = model.validate_theta(init)
     log_idx = model.log_scale_indices()
@@ -200,44 +211,6 @@ def mle_numeric(
     )
 
 
-def _nelder_mead(f, x0: np.ndarray, max_iter: int, xatol: float = 1e-6, fatol: float = 1e-9):
-    """Minimal deterministic Nelder-Mead; returns the best vertex seen."""
-    n = x0.shape[0]
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    simplex = np.tile(x0, (n + 1, 1))
-    axes = np.arange(n)
-    simplex[axes + 1, axes] += np.where(x0 == 0.0, 0.05, 0.05 * np.abs(x0) + 0.01)
-    fvals = np.array([f(v) for v in simplex])
-    for _ in range(max_iter):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        spread = np.abs(simplex[1:] - simplex[0]).max()
-        if spread <= xatol and abs(fvals[-1] - fvals[0]) <= fatol:
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        xr = centroid + alpha * (centroid - simplex[-1])
-        fr = f(xr)
-        if fr < fvals[0]:
-            xe = centroid + gamma * (xr - centroid)
-            fe = f(xe)
-            if fe < fr:
-                simplex[-1], fvals[-1] = xe, fe
-            else:
-                simplex[-1], fvals[-1] = xr, fr
-        elif fr < fvals[-2]:
-            simplex[-1], fvals[-1] = xr, fr
-        else:
-            xc = centroid + rho * (simplex[-1] - centroid)
-            fc = f(xc)
-            if fc < fvals[-1]:
-                simplex[-1], fvals[-1] = xc, fc
-            else:
-                simplex[1:] = simplex[0] + sigma * (simplex[1:] - simplex[0])
-                fvals[1:] = [f(v) for v in simplex[1:]]
-    best = int(np.argmin(fvals))
-    return simplex[best], fvals[best]
-
-
 def min_chisq_estimate(
     model: ConditionalModel,
     data: Dataset,
@@ -246,48 +219,49 @@ def min_chisq_estimate(
     init,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> np.ndarray:
-    """Parameter value minimizing the Pearson statistic of the table.
+    """One Gauss-Newton step of the grouped (minimum chi-square) problem from init.
 
-    Derivative-free simplex from init plus config.restarts seeded restarts;
-    never returns a point with a larger objective than init. The cells, the
-    expected counts and model.pivot_map(y, x) are fixed before the simplex:
-    data with the wrong k or a partition that does not cover it raises
-    InvalidArgumentError, an empty cell InvalidStartError. A theta that
-    validate_theta refuses, a NaN pivot, any other package error and
-    FloatingPointError score +inf; anything else propagates.
+    With p0 = vec(w_l N_j / n) and d(theta) = vec(O(theta) / n) - p0, both
+    row-major L x J, Pearson is n d' G d for G = diag(1/p0). Linearizing d
+    around init with the raw-MLE Wald's per-cell score means C
+    (stats._score_moments: the closed forms when the family has both, the
+    empirical moments otherwise) gives the step (C'GC)+ C'G d. The
+    minimum-norm solve takes no step along a direction the bins do not see,
+    so at L = 1 it is zero. The step is returned when its re-binned table
+    has a smaller Pearson than init's; otherwise, on a tie, or when
+    validate_theta refuses the step or its table cannot be formed, init is.
+    So the result is never worse than init. config is accepted for
+    compatibility and not read. Data with the wrong k or a partition that
+    does not cover it raises InvalidArgumentError; an empty covariate cell,
+    or a table at init that fails with a package error (such as a NaN
+    pivot) or FloatingPointError, InvalidStartError; non-finite moments
+    SingularInformationError. Anything else propagates.
     """
-    theta0 = model.validate_theta(init)
-    log_idx = model.log_scale_indices()
+    theta = model.validate_theta(init)
     _check_k(model, data)
-    pivot = model.pivot_map(data.y, data.x)
     cells = partition.locate0(data.x)
-    edges = model.pivot_edges(grid.thresholds)
-    L, J = grid.L, partition.J
-    E = np.outer(grid.widths, np.bincount(cells, minlength=J).astype(np.float64))
-    if not E.all():
+    J = partition.J
+    counts = np.bincount(cells, minlength=J)
+    if not counts.all():
         raise InvalidStartError("objective at init is not finite: a covariate cell is empty")
+    p0 = np.outer(grid.widths, counts / data.n).ravel()
+    pivot = model.pivot_map(data.y, data.x)
+    edges = model.pivot_edges(grid.thresholds)
 
-    def objective(phi: np.ndarray) -> float:
-        try:
-            bins = bin_pivots(pivot(model.validate_theta(_from_internal(phi, log_idx))), edges)
-        except (CondgofError, FloatingPointError):
-            return np.inf
-        return _pearson(np.bincount(bins * J + cells, minlength=L * J).reshape(L, J), E)
+    def discrepancy(th: np.ndarray) -> np.ndarray:
+        bins = bin_pivots(pivot(th), edges)
+        return np.bincount(bins * J + cells, minlength=grid.L * J) / data.n - p0
 
-    phi0 = _to_internal(theta0, log_idx)
-    f0 = objective(phi0)
-    if not np.isfinite(f0):
-        raise InvalidStartError("objective at init is not finite")
-
-    best_phi, best_f = phi0, f0
-    iters = max(config.max_iterations, 50 * theta0.shape[0])
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(config.seed)))
-    starts = [phi0]
-    for _ in range(config.restarts):
-        starts.append(phi0 + rng.normal(0.0, 0.1, size=phi0.shape) * (1.0 + np.abs(phi0)))
-    for s in starts:
-        cand_phi, cand_f = _nelder_mead(objective, s, max_iter=iters)
-        if cand_f < best_f:
-            best_phi, best_f = cand_phi, cand_f
-    return _from_internal(best_phi, log_idx)
-
+    try:
+        d = discrepancy(theta)
+    except (CondgofError, FloatingPointError) as exc:
+        raise InvalidStartError("objective at init is not finite") from exc
+    C, _ = _score_moments(model, theta, data, grid, cells, J)
+    A = C / p0[:, None]
+    step = np.linalg.lstsq(C.T @ A, A.T @ d, rcond=None)[0]
+    try:
+        cand = model.validate_theta(theta + step)
+        d_cand = discrepancy(cand)
+    except (CondgofError, FloatingPointError):
+        return theta
+    return cand if d_cand @ (d_cand / p0) < d @ (d / p0) else theta

@@ -1,11 +1,11 @@
 """Monte Carlo engine for size, power, and df calibration studies.
 
 Reproducibility contract: replication i of an experiment with master seed s
-derives all of its randomness from SeedSequence(entropy=s, spawn_key=(i,)),
-split into three child streams (data, partition, estimator) and fed to the
-Philox counter-based generator. Replications therefore neither share state
-nor depend on execution order, and run_replication(cfg, i) is a pure
-function of (cfg, i).
+derives all of its randomness from SeedSequence(entropy=s, spawn_key=(i,)):
+its child 0 seeds the Philox counter-based generator of the data, and its
+child 1 the partition builder. The estimators draw nothing. Replications
+therefore neither share state nor depend on execution order, and
+run_replication(cfg, i) is a pure function of (cfg, i).
 
 Aggregation is order-independent: outcomes are sorted by replication index
 before any reduction, so feeding them in any order yields the same result.
@@ -41,7 +41,7 @@ from .errors import (
     whole_fields,
 )
 from .estimate import OptimizerConfig, mle_gaussian_linear, mle_numeric, min_chisq_estimate
-from .models import ConditionalModel, Dataset, GaussianLinearModel, _check_k
+from .models import ConditionalModel, Dataset, GaussianLinearModel, _check_k, _design
 from .models import resolve_model, response_bins
 from .partition import Partition, gessaman_partition, product_partition, rtp_partition
 from .stats import TestReport, WaldInputs, check_request, policy_df, run_test
@@ -162,7 +162,7 @@ def simulate_dataset(dgp: DgpSpec, rng: np.random.Generator) -> Dataset:
     else:
         x = rng.standard_normal((n, k))
     theta = np.asarray(dgp.true_params)
-    design = np.hstack([np.ones((n, 1)), x])
+    design = _design(x)
     if dgp.family == "gaussian_linear":
         mu = design @ theta[:-1]
         y = mu + theta[-1] * rng.standard_normal(n)
@@ -187,11 +187,9 @@ class RepOutcome:
 
 def _rep_streams(master_seed: int, rep_index: int):
     root = np.random.SeedSequence(entropy=master_seed, spawn_key=(rep_index,))
-    data_ss, part_ss, est_ss = root.spawn(3)
+    data_ss, part_ss = root.spawn(2)
     data_rng = np.random.Generator(np.random.Philox(data_ss))
-    part_seed = int(part_ss.generate_state(1, dtype=np.uint64)[0])
-    est_seed = int(est_ss.generate_state(1, dtype=np.uint64)[0])
-    return data_rng, part_seed, est_seed
+    return data_rng, int(part_ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _build_partition(cfg: SimConfig, x: np.ndarray, part_seed: int) -> tuple:
@@ -214,7 +212,6 @@ def run_pipeline(
     stats: tuple[str, ...] | list[str],
     *,
     theta=None,
-    seed: int = 0,
 ) -> tuple[np.ndarray, ContingencyTable, dict[str, TestReport]]:
     """Estimate, bin, tabulate and test one dataset: the library's entry point.
 
@@ -227,13 +224,12 @@ def run_pipeline(
     "known" takes theta as given and requires it. "raw_mle" (least squares
     for GaussianLinearModel itself, not a subclass; otherwise mle_numeric
     from zero, or 1 for a log-scale parameter) and "min_chisq" (the raw MLE
-    refined by min_chisq_estimate under OptimizerConfig(restarts=2,
-    seed=seed, max_iterations=200)) refuse a theta; seed feeds only those
-    min-chi-square restarts. A request stats.check_request refuses, a model
-    for another k than data.k and bad cells raise InvalidArgumentError,
-    L > n InsufficientDataError and a response below the model's support
-    OutOfSupportError, all before anything is estimated. Returns (theta,
-    table, reports by statistic name).
+    refined by min_chisq_estimate's one step) refuse a theta. A request
+    stats.check_request refuses, a model for another k than data.k and bad
+    cells raise InvalidArgumentError, L > n InsufficientDataError and a
+    response below the model's support OutOfSupportError, all before
+    anything is estimated. Returns (theta, table, reports by statistic
+    name).
     """
     theta = check_request(model, estimator, stats, theta)
     _check_k(model, data)
@@ -257,8 +253,7 @@ def run_pipeline(
                 model, data, init, OptimizerConfig(max_iterations=500, tolerance=1e-6)
             )
     if estimator == "min_chisq":
-        budget = OptimizerConfig(restarts=2, seed=seed, max_iterations=200)
-        theta = min_chisq_estimate(model, data, grid, partition, theta, budget)
+        theta = min_chisq_estimate(model, data, grid, partition, theta)
 
     bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
     table = tabulate_cells(bins, cells, grid, partition.J)
@@ -272,20 +267,12 @@ def run_replication(cfg: SimConfig, rep_index: int) -> RepOutcome:
     """One full pipeline pass; pure function of (cfg, rep_index)."""
     outcome = RepOutcome(rep_index=rep_index)
     try:
-        data_rng, part_seed, est_seed = _rep_streams(cfg.master_seed, rep_index)
+        data_rng, part_seed = _rep_streams(cfg.master_seed, rep_index)
         data = simulate_dataset(cfg.dgp, data_rng)
         model = resolve_model(cfg.model, cfg.dgp.k)
         partition, cells = _build_partition(cfg, data.x, part_seed)
         _theta, _table, outcome.reports = run_pipeline(
-            model,
-            data,
-            partition,
-            cells,
-            cfg.L,
-            cfg.estimator,
-            cfg.stats,
-            theta=cfg.theta,
-            seed=est_seed,
+            model, data, partition, cells, cfg.L, cfg.estimator, cfg.stats, theta=cfg.theta
         )
     except CondgofError as exc:
         outcome.reports = {}

@@ -152,6 +152,9 @@ def _score_moments(model, theta, data, grid, cells, J):
 
     Closed forms replace the raw moment estimates when the model supplies
     both. Each column of C is made to sum to zero over the response bins.
+    The raw-MLE Wald uses both; the min-chi-square step in
+    estimate.min_chisq_estimate uses C. Non-finite moments raise
+    SingularInformationError.
     """
     L, p, n = grid.L, model.param_dim, data.n
     info = model.expected_information(data.x, theta)

@@ -482,3 +482,26 @@ def test_13_exponential_family_size_high_dimension():
     assert BAND[0] <= wald_rate <= BAND[1], f"wald rate outside {BAND}"
     assert summ.mean_df == 84
     assert abs(summ.mean - summ.mean_df) <= 3.0 * se
+
+
+def test_14_min_chisq_size():
+    """The grouped estimator's Pearson and LR keep their size at the point df J(L-1) - p.
+
+    min_chisq_estimate takes one Gauss-Newton step from the raw MLE and keeps
+    the start when the step's table fits worse. Each Pearson is then the
+    smaller of two, which leans conservative, so the lower gate is 0.025
+    rather than BAND[0]. The upper gate is BAND[1].
+    """
+    res = run_experiment(
+        _size_config(PartitionRule(kind="rtp", T=2, r=2), "min_chisq", master_seed=1017)
+    )
+    pearson_rate, lr_rate = res.rate("pearson", 0.05), res.rate("lr", 0.05)
+    summ = res.summary("pearson")
+    print(
+        f"[14] min_chisq pearson rate {pearson_rate}, lr rate {lr_rate}; pearson mean "
+        f"{summ.mean:.4f} vs df {summ.mean_df}, failed {res.failed}"
+    )
+    assert res.failed == 0
+    for name, rate in (("pearson", pearson_rate), ("lr", lr_rate)):
+        assert 0.025 <= rate <= BAND[1], f"{name} rate {rate} outside [0.025, {BAND[1]}]"
+        assert res.summary(name).mean_df == 11

@@ -277,7 +277,6 @@ class TestTestCommand:
             4,
             _ESTIMATOR_FLAGS[flag],
             stats,
-            seed=3,
         )
         assert doc["config"]["theta"] == theta.tolist()
         assert doc["table"]["O"] == table.O.tolist()

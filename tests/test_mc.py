@@ -1,6 +1,7 @@
 """Simulation engine: reproducibility, aggregation, and df diagnostics."""
 
 import inspect
+import json
 from dataclasses import asdict
 
 import numpy as np
@@ -252,6 +253,49 @@ class TestReplicationReproducibility:
         assert "Error" in out.error
 
 
+class TestStreamContract:
+    """Replication i of master seed s draws from children 0 (data) and 1
+    (partition) of SeedSequence(entropy=s, spawn_key=(i,)), as mc.py states."""
+
+    @pytest.mark.parametrize(
+        "master_seed, rep_index", [(0, 0), (7, 3), (2024, 1999), (2**64 - 1, 5), (10**30, 12)]
+    )
+    def test_children_0_and_1(self, master_seed, rep_index):
+        data_rng, part_seed = _rep_streams(master_seed, rep_index)
+        child = [
+            np.random.SeedSequence(entropy=master_seed, spawn_key=(rep_index, c)) for c in (0, 1)
+        ]
+        want = np.random.Generator(np.random.Philox(child[0])).random(8)
+        assert np.array_equal(data_rng.random(8), want)
+        assert part_seed == int(child[1].generate_state(1, dtype=np.uint64)[0])
+
+    @pytest.mark.parametrize(
+        "estimator, partition",
+        [("raw_mle", PartitionRule(kind="rtp", T=2, r=2)), ("known", PartitionRule(kind="rtp"))],
+    )
+    def test_documents_match_a_three_stream_split(self, monkeypatch, estimator, partition):
+        # the layout that also split off an estimator stream: children 0 and 1
+        # are the same seeds, so a document that draws nothing else is unchanged
+        cfg = _known_cfg(
+            estimator=estimator,
+            theta=None if estimator == "raw_mle" else (0.5, 1.0, -0.7, 1.0),
+            partition=partition,
+            stats=("pearson", "lr", "wald"),
+            replications=12,
+            master_seed=90210,
+        )
+        doc = json.dumps(run_experiment(cfg).to_dict())
+
+        def three_streams(master_seed, rep_index):
+            root = np.random.SeedSequence(entropy=master_seed, spawn_key=(rep_index,))
+            data_ss, part_ss, _est_ss = root.spawn(3)
+            part_seed = int(part_ss.generate_state(1, dtype=np.uint64)[0])
+            return np.random.Generator(np.random.Philox(data_ss)), part_seed
+
+        monkeypatch.setattr(mc, "_rep_streams", three_streams)
+        assert json.dumps(run_experiment(cfg).to_dict()) == doc
+
+
 class TestSharedPipeline:
     @pytest.mark.parametrize(
         "kind, estimator, located",
@@ -260,7 +304,7 @@ class TestSharedPipeline:
     )
     def test_built_partitions_are_not_located(self, monkeypatch, kind, estimator, located):
         # a build hands over its own cells; min_chisq_estimate locates once for
-        # its objective, and the law grid, not built from the data, once
+        # its step, and the law grid, not built from the data, once
         calls = []
         locate0 = Partition.locate0
 
@@ -302,7 +346,7 @@ class TestSharedPipeline:
         )
         out = run_replication(cfg, 0)
         assert out.error is None and out.reports["wald"].df == 121 * 3
-        data_rng, part_seed, _ = _rep_streams(cfg.master_seed, 0)
+        data_rng, part_seed = _rep_streams(cfg.master_seed, 0)
         x = simulate_dataset(dgp, data_rng).x
         part, cells = _build_partition(cfg, x, part_seed)
         with pytest.raises(AssertionError, match="the box scan ran"):
@@ -340,7 +384,7 @@ class TestPipelineInputs:
         cells = good if cells is None else cells
         model = default_model if model is None else model
         with pytest.raises(InvalidArgumentError, match=match) as info:
-            run_pipeline(model, data, part, cells, 4, estimator, stats, theta=theta, seed=0)
+            run_pipeline(model, data, part, cells, 4, estimator, stats, theta=theta)
         assert "\n" not in str(info.value)
 
     @pytest.mark.parametrize(
@@ -407,11 +451,10 @@ class TestPipelineInputs:
             model=model,
         )
 
-    def test_theta_and_seed_are_keywords(self):
+    def test_theta_is_a_keyword_and_nothing_is_seeded(self):
         params = inspect.signature(run_pipeline).parameters
-        for name in ("theta", "seed"):
-            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
-        assert params["theta"].default is None and params["seed"].default == 0
+        assert params["theta"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["theta"].default is None and "seed" not in params
 
 
 class _LogisticLinear(GaussianLinearModel):
