@@ -2,7 +2,7 @@
 
 Built partitions hand over each row's cell, so locate_cells serves only a
 partition file, the Monte Carlo law grid and direct Partition.locate0
-callers such as the min-chi-square objective. It cuts each axis at the
+callers such as estimate.min_chisq_estimate. It cuts each axis at the
 distinct finite cell bounds, paints each box's range of slots into a
 table, and reads each point's cell at its slot: O(n·k·log J) once the
 table is built. A partition whose table would hold more than _TABLE_CAP

@@ -14,11 +14,11 @@ Three routes with different downstream calibration:
   exhausting the iteration budget before the gradient tolerance is met
   raises ConvergenceFailureError carrying the last iterate.
 - min_chisq_estimate: one Gauss-Newton step of the grouped problem from the
-  raw MLE, built from the raw-MLE Wald's per-cell score means
-  (stats._score_moments). Pearson is piecewise constant in theta (counts
-  only change when a transformed response crosses a bin edge), so the step
-  is re-binned and kept only when its table fits better than the start's:
-  the returned point is never worse than the starting point.
+  raw MLE, built from the raw-MLE Wald's moments (stats._score_moments and
+  _grouped_terms). Pearson is piecewise constant in theta (counts only
+  change when a transformed response crosses a bin edge), so the step is
+  re-binned and kept only when its table fits better than the start's: the
+  returned point is never worse than the starting point.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ from .models import (
     Dataset,
     _check_k,
     _design,
-    bin_pivots,
     log_likelihood,
+    response_bins,
 )
 from .partition import Partition
-from .stats import _score_moments
-from .tabulate import UGrid
+from .stats import _grouped_terms, _score_moments
+from .tabulate import ContingencyTable, UGrid, require_positive_columns, tabulate_cells
 
 
 @dataclass(frozen=True)
@@ -221,47 +221,40 @@ def min_chisq_estimate(
 ) -> np.ndarray:
     """One Gauss-Newton step of the grouped (minimum chi-square) problem from init.
 
-    With p0 = vec(w_l N_j / n) and d(theta) = vec(O(theta) / n) - p0, both
-    row-major L x J, Pearson is n d' G d for G = diag(1/p0). Linearizing d
-    around init with the raw-MLE Wald's per-cell score means C
-    (stats._score_moments: the closed forms when the family has both, the
-    empirical moments otherwise) gives the step (C'GC)+ C'G d. The
-    minimum-norm solve takes no step along a direction the bins do not see,
-    so at L = 1 it is zero. The step is returned when its re-binned table
-    has a smaller Pearson than init's; otherwise, on a tie, or when
-    validate_theta refuses the step or its table cannot be formed, init is.
-    So the result is never worse than init. config is accepted for
-    compatibility and not read. Data with the wrong k or a partition that
-    does not cover it raises InvalidArgumentError; an empty covariate cell,
-    or a table at init that fails with a package error (such as a NaN
-    pivot) or FloatingPointError, InvalidStartError; non-finite moments
-    SingularInformationError. Anything else propagates.
+    Pearson is n d' G d with p0, d(theta) = vec(O(theta) / n) - p0 and
+    A = G C from stats._grouped_terms, C being the raw-MLE Wald's per-cell
+    score means (stats._score_moments). Linearizing d around init gives the
+    step (C'A)+ A'd; the minimum-norm solve takes no step along a direction
+    the bins do not see, so at L = 1 it is zero. The step is returned only
+    when its re-binned d'Gd is below init's by a relative 1e-12 (a tie up to
+    rounding keeps init); init is also returned when validate_theta refuses
+    the step or its table cannot be formed. So the result is never worse
+    than init. config is accepted for compatibility and not read. Wrong k
+    or a partition that does not cover the data raises InvalidArgumentError,
+    an empty covariate cell EmptyCellError, a table at init that fails with
+    a package error (such as a NaN pivot) or FloatingPointError
+    InvalidStartError, non-finite moments SingularInformationError.
+    Anything else propagates.
     """
     theta = model.validate_theta(init)
     _check_k(model, data)
     cells = partition.locate0(data.x)
-    J = partition.J
-    counts = np.bincount(cells, minlength=J)
-    if not counts.all():
-        raise InvalidStartError("objective at init is not finite: a covariate cell is empty")
-    p0 = np.outer(grid.widths, counts / data.n).ravel()
-    pivot = model.pivot_map(data.y, data.x)
     edges = model.pivot_edges(grid.thresholds)
 
-    def discrepancy(th: np.ndarray) -> np.ndarray:
-        bins = bin_pivots(pivot(th), edges)
-        return np.bincount(bins * J + cells, minlength=grid.L * J) / data.n - p0
+    def table_at(th: np.ndarray) -> ContingencyTable:
+        return tabulate_cells(response_bins(model, th, data, edges), cells, grid, partition.J)
 
     try:
-        d = discrepancy(theta)
+        table = table_at(theta)
     except (CondgofError, FloatingPointError) as exc:
         raise InvalidStartError("objective at init is not finite") from exc
-    C, _ = _score_moments(model, theta, data, grid, cells, J)
-    A = C / p0[:, None]
-    step = np.linalg.lstsq(C.T @ A, A.T @ d, rcond=None)[0]
+    require_positive_columns(table)
+    C, _ = _score_moments(model, theta, data, grid, cells, partition.J)
+    p0, d, A, CtA = _grouped_terms(table, C)
+    step = np.linalg.lstsq(CtA, A.T @ d, rcond=None)[0]
     try:
         cand = model.validate_theta(theta + step)
-        d_cand = discrepancy(cand)
+        d_cand = _grouped_terms(table_at(cand), C)[1]
     except (CondgofError, FloatingPointError):
         return theta
-    return cand if d_cand @ (d_cand / p0) < d @ (d / p0) else theta
+    return cand if d_cand @ (d_cand / p0) < (1.0 - 1e-12) * (d @ (d / p0)) else theta

@@ -187,8 +187,9 @@ class GaussianLinearModel(ConditionalModel):
 
     @staticmethod
     def _pivot_of(d, y, th) -> np.ndarray:
-        """Standardized residual (y - mu(x)) / sigma, standard normal."""
-        return (y - d @ th[:-1]) / th[-1]
+        """Standardized residual (y - mu(x)) / sigma, standard normal; overflow is not warned."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (y - d @ th[:-1]) / th[-1]
 
     def pivot_map(self, y, x):
         return partial(self._pivot_of, _design(x), y)
@@ -259,7 +260,7 @@ class ExponentialRegressionModel(ConditionalModel):
     @staticmethod
     def _pivot_of(d, y, th) -> np.ndarray:
         """rate * y, standard exponential for y >= 0; an overflowed rate gives the limit."""
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return np.exp(d @ th) * y
 
     def pivot_map(self, y, x):

@@ -184,13 +184,21 @@ def _score_moments(model, theta, data, grid, cells, J):
     return C, 0.5 * (info + info.T)
 
 
+def _grouped_terms(table: ContingencyTable, C: np.ndarray):
+    """(p0, d, A, C'A): p0 = vec(w_l qhat_j), d = vec(O/n) - p0, A = diag(1/p0) C."""
+    p0 = np.outer(table.widths, table.q_hat).ravel()
+    d = table.O.ravel() / table.n - p0
+    A = C / p0[:, None]
+    return p0, d, A, C.T @ A
+
+
 def _wald_form(table: ContingencyTable, C: np.ndarray, info: np.ndarray):
     """(n d' Sigma+ d, rank Sigma) for Sigma = S_base - C info^{-1} C'.
 
-    d = vec(O/n) - p0 with p0_{lj} = w_l * qhat_j, both row-major like C.
-    G = diag(1/p0) is a generalized inverse of S_base, and d and the columns
-    of C lie in its range, so by Woodbury the form is Pearson plus n b' M+ b
-    with A = G C, M = info - C' A and b = A' d. Directions V0 with
+    With p0, d and A = G C from _grouped_terms: G = diag(1/p0) is a
+    generalized inverse of S_base, and d and the columns of C lie in its
+    range, so by Woodbury the form is Pearson plus n b' M+ b with
+    M = info - C' A and b = A' d. Directions V0 with
     eigenvalue of M at most _RANK_RTOL * max eig(info) are null directions
     (column-centred A V0) of Sigma; d first loses its Euclidean component
     along them, which keeps the Moore-Penrose value. Sigma is PSD exactly
@@ -203,10 +211,8 @@ def _wald_form(table: ContingencyTable, C: np.ndarray, info: np.ndarray):
         raise SingularInformationError(
             "estimated information matrix is numerically singular"
         )
-    p0 = np.outer(table.widths, table.q_hat).ravel()
-    d = table.O.ravel() / table.n - p0
-    A = C / p0[:, None]
-    M = info - C.T @ A
+    p0, d, A, CtA = _grouped_terms(table, C)
+    M = info - CtA
     mu, V = np.linalg.eigh(0.5 * (M + M.T))
     if mu[0] < -_NEG_RTOL * imax:
         raise CovarianceConstructionError(

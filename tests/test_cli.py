@@ -908,6 +908,23 @@ class TestExitCodes:
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["config"]["theta"] == [1e5, 0.0, 0.0]
 
+    @pytest.mark.parametrize("model, theta, bad_rows, code", [
+        # inf * 0 at a zero response is a NaN pivot: exit 4 on one line
+        ("exponential_regression", "800,0,0", {0: 0.0}, 4),
+        # the mean overflows to inf and the residuals read -inf or NaN quietly
+        ("gaussian_linear", "1e308,1e308,1e308,1", None, 0),
+    ])
+    def test_overflowed_pivot_prints_no_warning(self, tmp_path, model, theta, bad_rows, code):
+        src = str(Path(condgof.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "condgof.cli", "test", "--data",
+             _exponential_csv(tmp_path, bad_rows), "--y", "y", "--x", "x1,x2",
+             "--model", model, "--estimator", "known", f"--theta={theta}"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        nan = "computation error: ModelEvaluationError: model pivot produced NaN values\n"
+        assert proc.returncode == code and proc.stderr == (nan if code else "")
+
     @pytest.mark.parametrize("command", ["test", "simulate", "partition"])
     def test_out_in_missing_directory_exit_2(self, gauss_csv, tmp_path, capsys, command):
         out = str(tmp_path / "missing" / "out.json")

@@ -8,17 +8,20 @@ from condgof import (
     ConvergenceFailureError,
     Dataset,
     DegenerateFitError,
+    EmptyCellError,
     ExponentialRegressionModel,
     GaussianLinearModel,
     InvalidArgumentError,
     InvalidParameterError,
     InvalidStartError,
+    ModelEvaluationError,
     OptimizerConfig,
     SingularDesignError,
     backend,
     balanced_grid,
     Partition,
     gessaman_partition,
+    lr_stat,
     min_chisq_estimate,
     mle_gaussian_linear,
     mle_numeric,
@@ -26,7 +29,8 @@ from condgof import (
     rosenblatt,
 )
 from condgof.models import ConditionalModel, bin_pivots, log_likelihood
-from condgof.stats import _score_moments
+from condgof.mc import DgpSpec, _rep_streams, simulate_dataset
+from condgof.stats import _grouped_terms, _score_moments
 from condgof.tabulate import tabulate_cells
 
 
@@ -262,6 +266,54 @@ class TestFisherScoring:
         est = mle_numeric(model, data, np.zeros(2), OptimizerConfig(tolerance=1e-6))
         assert np.abs(model.score(data.y, data.x, est).mean(axis=0)).max() <= 1e-6
 
+    def test_last_budgeted_step_meeting_tolerance_is_returned(self):
+        # with the exact information the first full step lands on the mean
+        rng = np.random.Generator(np.random.Philox(23))
+        data = Dataset(y=0.7 + rng.standard_normal(300), x=rng.uniform(-1, 1, 300))
+        est = mle_numeric(ClosedFormLocation(k=1), data, np.array([-3.0]),
+                          OptimizerConfig(max_iterations=1))
+        assert est[0] == pytest.approx(data.y.mean(), abs=1e-12)
+
+    def test_trial_point_refused_by_validate_theta_is_halved(self):
+        # an information 10x too small sends the full step past the bound the
+        # family allows; the refused trial scores -inf and the step halves
+        refused = []
+
+        class Bounded(ClosedFormLocation):
+            def validate_theta(self, theta):
+                th = super().validate_theta(theta)
+                if abs(th[0]) > 10.0:
+                    refused.append(th[0])
+                    raise InvalidParameterError("location must lie in [-10, 10]")
+                return th
+
+            def log_density(self, y, x, theta):
+                return super().log_density(y, x, self.validate_theta(theta))
+
+            def expected_information(self, x, theta):
+                return np.full((1, 1), 0.1)
+
+        rng = np.random.Generator(np.random.Philox(24))
+        data = Dataset(y=0.7 + rng.standard_normal(300), x=rng.uniform(-1, 1, 300))
+        est = mle_numeric(Bounded(k=1), data, np.array([-3.0]))
+        assert refused and est[0] == pytest.approx(data.y.mean(), abs=1e-8)
+
+    @pytest.mark.parametrize("broken", ["score", "expected_information"])
+    def test_non_finite_moment_is_model_evaluation_error(self, broken):
+        class Broken(ClosedFormLocation):
+            def score(self, y, x, theta):
+                s = super().score(y, x, theta)
+                return np.full_like(s, np.nan) if broken == "score" else s
+
+            def expected_information(self, x, theta):
+                return np.full((1, 1), np.nan if broken == "expected_information" else 1.0)
+
+        rng = np.random.Generator(np.random.Philox(25))
+        data = Dataset(y=0.7 + rng.standard_normal(100), x=rng.uniform(-1, 1, 100))
+        what = "score" if broken == "score" else "information"
+        with pytest.raises(ModelEvaluationError, match=f"^{what} produced non-finite values$"):
+            mle_numeric(Broken(k=1), data, np.array([-3.0]))
+
 
 class ClosedFormLocation(LocationModel):
     """LocationModel with the standardized pivot and closed-form Wald moments."""
@@ -393,6 +445,27 @@ class TestMinChisq:
                 np.array([0.0]),
             )
 
+    def test_tie_up_to_rounding_keeps_init(self):
+        # replication 83 of a gessaman T = 2, L = 4 design at master seed 1:
+        # every N_j is 125, so Pearson = (4/125) sum O^2 - 500 and the step's
+        # table ties the start's exactly, with another LR
+        dgp = DgpSpec("gaussian_linear", (0.5, 1.0, -0.7, 1.0), "uniform", 500, 2)
+        data = simulate_dataset(dgp, _rep_streams(1, 83)[0])
+        model = GaussianLinearModel(k=2)
+        grid = balanced_grid(4)
+        part, cells = gessaman_partition(data.x, 2)
+        init = mle_gaussian_linear(data)
+
+        def table_at(th):
+            return cross_classify(rosenblatt(model, th, data), data.x, grid, part)
+
+        C, _ = _score_moments(model, init, data, grid, cells, part.J)
+        _, d, A, CtA = _grouped_terms(table_at(init), C)
+        cand = init + np.linalg.lstsq(CtA, A.T @ d, rcond=None)[0]
+        assert pearson_stat(table_at(cand)) == pytest.approx(pearson_stat(table_at(init)), abs=1e-9)
+        assert lr_stat(table_at(cand)) != pytest.approx(lr_stat(table_at(init)), abs=1e-6)
+        assert np.array_equal(min_chisq_estimate(model, data, grid, part, init), init)
+
     def test_full_model_does_not_worsen_closed_form_start(self):
         data = _gaussian_data(11, 400)
         model = GaussianLinearModel(k=data.k)
@@ -426,12 +499,13 @@ class TestMinChisq:
                     model, data, grid, part, np.array([800.0, 0.0]), OptimizerConfig()
                 )
 
-    def test_empty_covariate_cell_is_invalid_start(self):
+    def test_empty_covariate_cell_is_empty_cell_error(self):
+        # the table's own rule, with the message the raw-MLE tests give
         data = _gaussian_data(15, 200)
         part = Partition(
             np.array([[-np.inf], [5.0]]), np.array([[5.0], [np.inf]]), origin="fixed"
         )
-        with pytest.raises(InvalidStartError):
+        with pytest.raises(EmptyCellError, match="^covariate cell 2 has zero observations$"):
             min_chisq_estimate(
                 GaussianLinearModel(k=1), data, balanced_grid(4), part,
                 mle_gaussian_linear(data), OptimizerConfig(restarts=0),

@@ -396,8 +396,9 @@ class TestPipelineInputs:
             lambda c: c.astype(np.float64),
             lambda c: c.reshape(20, 20),
             lambda c: c.astype(bool),
+            lambda c: [c[:-1].tolist(), [0]],
         ],
-        ids=["short", "past_J", "negative", "float", "2d", "bool"],
+        ids=["short", "past_J", "negative", "float", "2d", "bool", "ragged"],
     )
     def test_cells(self, quick_start, bad):
         self._refused(quick_start, "cells must", cells=bad(quick_start[3]))
