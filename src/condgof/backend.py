@@ -2,13 +2,13 @@
 
 Built partitions hand over each row's cell, so locate_cells serves only a
 partition file, the Monte Carlo law grid and direct Partition.locate0
-callers such as estimate.min_chisq_estimate. It cuts each axis at the
-distinct finite cell bounds, paints each box's range of slots into a
-table, and reads each point's cell at its slot: O(n·k·log J) once the
-table is built. A partition whose table would hold more than _TABLE_CAP
-entries falls back to the O(n·J·k) box scan _locate_scan, which is also
-the table's test oracle. A point with a NaN or -inf coordinate lies in no
-cell. The normal special functions come from the standard library.
+callers such as estimate.min_chisq_estimate. One kernel serves every
+partition, guillotine or not: each axis is cut at its distinct cell bounds,
+each slot of an axis keeps a bitset of the cells holding it, and a point
+ANDs the k bitsets of its slots and takes the lowest set bit. That costs
+O(n·k·(log J + J/64)) time and k·(2J + 1)·ceil(J/64) words for the
+bitsets. A point with a NaN or -inf coordinate lies in no cell. The normal
+special functions come from the standard library.
 
 - normal_cdf: the standard library's math.erfc, mapped over an array
   element by element; normal_cdf states its measured accuracy.
@@ -144,63 +144,62 @@ def chisq_sf(x: float, df) -> float:
     return _chisq_sf_scalar(x, df)
 
 
-# Most entries of locate_cells' int32 slot table (16 MB); larger partitions are scanned.
-_TABLE_CAP = 1 << 22
-
-
 def locate_cells(points: np.ndarray, lows: np.ndarray, ups: np.ndarray) -> np.ndarray:
-    """Index (0-based) of the first cell containing each point, -1 if none.
+    """Index (0-based, int64) of the first cell containing each point, -1 if none.
 
     Membership is lower < x <= upper in every coordinate, so a point inside
     several cells gets the first, and a NaN or -inf coordinate lies in no
     cell while +inf lies in a cell whose upper bound is +inf. Bounds must
-    not be NaN.
+    not be NaN. With k = 0 every point lies in cell 0.
 
-    Axis d is cut at the sorted distinct finite bounds e_d; a coordinate's
-    slot is searchsorted(e_d, x, side="left"), so slot s is (e_{s-1}, e_s],
-    the cell convention. Boxes paint their slot ranges into a table of
-    shape prod(|e_d| + 1), last cell first so the first cell wins, and each
-    point reads the entry at its mixed-radix slot index. Points with a NaN
-    or -inf coordinate, which searchsorted would place in an end slot, are
-    masked to -1. Above _TABLE_CAP table entries the points are scanned
-    against every box instead (_locate_scan); both give the same indices.
+    Axis d is cut at e_d, its sorted distinct bounds; a coordinate's slot is
+    searchsorted(e_d, x, side="left"), so slot s is (e_{s-1}, e_s], the
+    cell convention. Cell j holds the slots searchsorted(e_d, lower, "right")
+    to searchsorted(e_d, upper, "left"); as its bounds are among e_d, that
+    leaves out slot 0, where -inf falls, and slot |e_d|, where NaN falls.
+    Each slot keeps the cells holding it as a bitset of W = ceil(J / 64)
+    uint64 words (cell j is bit j % 64 of word j // 64); a point ANDs the k
+    sets of its slots and takes the lowest set bit, so the first cell wins
+    and an empty set gives -1. |e_d| <= 2J, so the sets take at most
+    k (2J + 1) W words; rows go in chunks of 2^16 // W, so each of a chunk's
+    working arrays holds at most 2^16 words. Cost: O(k J (log J + W)) to
+    build the sets, O(n k (log J + W)) to locate.
     """
     pts = np.ascontiguousarray(points, dtype=np.float64)
     lo = np.ascontiguousarray(lows, dtype=np.float64)
     up = np.ascontiguousarray(ups, dtype=np.float64)
-    edges = []
-    for d in range(lo.shape[1]):
-        e = np.sort(np.concatenate((lo[:, d], up[:, d])))
-        e = e[np.isfinite(e)]
-        # distinct values by sorting; np.unique's hash table raised peak RSS by ~0.6 MB
-        edges.append(e[np.diff(e, prepend=-np.inf) > 0])
-    shape = tuple(e.size + 1 for e in edges)
-    if math.prod(shape) > _TABLE_CAP:
-        return _locate_scan(pts, lo, up)
-    first = [np.searchsorted(e, lo[:, d], side="right").tolist() for d, e in enumerate(edges)]
-    stop = [(np.searchsorted(e, up[:, d], side="left") + 1).tolist() for d, e in enumerate(edges)]
-    table = np.full(shape, -1, dtype=np.int32)
-    for j in range(lo.shape[0] - 1, -1, -1):
-        table[tuple(slice(f[j], s[j]) for f, s in zip(first, stop))] = j
-    flat = np.zeros(pts.shape[0], dtype=np.intp)
-    for d, e in enumerate(edges):
-        flat *= e.size + 1
-        flat += np.searchsorted(e, pts[:, d], side="left")
-    out = table.reshape(-1).take(flat).astype(np.int64)
-    out[~(pts > -np.inf).all(axis=1)] = -1
-    return out
-
-
-def _locate_scan(pts: np.ndarray, lo: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """locate_cells by testing every point against every box, in row chunks."""
-    n = pts.shape[0]
-    out = np.full(n, -1, dtype=np.int64)
-    step = 1 << 16
-    for start in range(0, n, step):
+    J, k = lo.shape
+    words = -(-J // 64)
+    bounds = np.concatenate((lo.T, up.T), axis=1)  # axis d's lower, then upper bounds
+    ordered = np.sort(bounds, axis=1)
+    distinct = np.ones(ordered.shape, dtype=bool)
+    distinct[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # axis d's slots sit at offsets o to o + |e_d|; ends: each cell's first and past-last slot
+    edges, ends, total = [], np.empty((k, 2, J), dtype=np.intp), 0
+    for d in range(k):
+        e = ordered[d][distinct[d]]
+        ends[d, 0] = np.searchsorted(e, bounds[d, :J], side="right") + total
+        ends[d, 1] = np.searchsorted(e, bounds[d, J:], side="left") + (total + 1)
+        edges.append((e, total))
+        total += e.size + 1
+    # toggle cell j's bit at both ends: a running XOR along the slots holds it on its own
+    j = np.arange(J)
+    ends += (j >> 6) * total
+    toggles = np.zeros((words, total), dtype=np.uint64)
+    np.bitwise_xor.at(toggles.reshape(-1), ends, np.uint64(1) << (j & 63).astype(np.uint64))
+    sets = np.bitwise_xor.accumulate(toggles, axis=1)
+    out = np.empty(pts.shape[0], dtype=np.int64)
+    step = max(1, (1 << 16) // words)
+    for start in range(0, pts.shape[0], step):
         chunk = pts[start : start + step]
-        inside = np.all(
-            (chunk[:, None, :] > lo[None, :, :]) & (chunk[:, None, :] <= up[None, :, :]),
-            axis=2,
-        )
-        out[start : start + step] = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+        hit = np.full((words, chunk.shape[0]), np.uint64(2**64 - 1))
+        for d, (e, o) in enumerate(edges):
+            slot = np.searchsorted(e, chunk[:, d], side="left")
+            hit &= sets[:, o : o + e.size + 1].take(slot, axis=1)
+        # each word's lowest set bit (-1 if none): isolate it, then read its exponent
+        bit = np.frexp((hit & -hit).astype(np.float64))[1] - 1
+        cell = -1
+        for w in range(words - 1, -1, -1):
+            cell = np.where(bit[w] < 0, cell, bit[w] + 64 * w)
+        out[start : start + step] = cell
     return out

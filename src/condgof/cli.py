@@ -230,21 +230,19 @@ def cmd_test(args) -> int:
     y, x = read_csv_columns(args.data, args.y, x_cols)
     data = Dataset(y=y, x=x)
 
-    cells = None
     if args.partition_file:
         partition = _read_partition_file(args.partition_file)
         if partition.k != data.k:
             raise DataError(
                 f"{args.partition_file}: partition has dimension {partition.k}, data has {data.k}"
             )
+        try:  # a file partition was not built from the data: locate the rows in it
+            cells = partition.locate0(data.x)
+        except UncoveredPointError as exc:
+            raise DataError(f"{args.partition_file}: {exc}") from exc
         desc = {"kind": "file", "path": args.partition_file}
     else:
         partition, cells, desc = _data_partition(args.partition, data.x, args.T, args.r, args.seed)
-
-    try:  # a file partition was not built from the data: locate the rows in it
-        cells = partition.locate0(data.x) if cells is None else cells
-    except UncoveredPointError as exc:
-        raise DataError(f"{args.partition_file}: {exc}") from exc
     try:
         theta, table, reports = run_pipeline(
             model, data, partition, cells, args.L, estimator, stats, theta=theta

@@ -254,7 +254,7 @@ def min_chisq_estimate(
     step = np.linalg.lstsq(CtA, A.T @ d, rcond=None)[0]
     try:
         cand = model.validate_theta(theta + step)
-        d_cand = _grouped_terms(table_at(cand), C)[1]
+        d_cand = table_at(cand).O.ravel() / table.n - p0  # init's cells, so init's p0
     except (CondgofError, FloatingPointError):
         return theta
     return cand if d_cand @ (d_cand / p0) < (1.0 - 1e-12) * (d @ (d / p0)) else theta

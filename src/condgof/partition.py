@@ -217,6 +217,7 @@ def gessaman_partition(x, T: int) -> tuple[Partition, np.ndarray]:
     terminal counts differ by at most 1. Returns (partition, each row's cell).
     """
     pts = _builder_input(x, T=T)
+    T = int(T)  # numpy integers would wrap around in T**k
     n, k = pts.shape
     if n < T**k:
         raise InsufficientDataError(f"need at least T^k = {T**k} points, got {n}")

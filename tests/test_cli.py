@@ -1068,6 +1068,23 @@ def test_imports_load_no_test_extra():
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
+def test_imports_load_only_numpy_and_the_standard_library():
+    # compared with the modules loaded before the import, since site may preload others
+    src = str(Path(condgof.__file__).resolve().parent.parent)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import condgof, condgof.cli\n"
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'condgof'}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[]\n", (proc.stdout, proc.stderr)
+
+
 def test_commands_run_without_test_extra(gauss_csv, tmp_path):
     # every subcommand runs in a child where the test extra cannot be imported
     src = str(Path(condgof.__file__).resolve().parent.parent)

@@ -18,7 +18,6 @@ from condgof import (
     RepOutcome,
     SimConfig,
     aggregate,
-    backend,
     calibrate_df,
     config_from_dict,
     gessaman_partition,
@@ -323,13 +322,13 @@ class TestSharedPipeline:
         assert out.error is None
         assert len(calls) == located
 
-    def test_high_dimensional_tree_never_scans(self, monkeypatch):
-        # k = 6, T = 3, r = 10: the 121 cells' slot table passes backend._TABLE_CAP,
-        # so locating the points would fall back to the O(n J k) box scan
-        def no_scan(*args):
-            raise AssertionError("the box scan ran")
+    def test_high_dimensional_tree_is_not_located(self, monkeypatch):
+        # k = 6, T = 3, r = 10: the build hands over the 121 cells of its 2000
+        # rows, so the replication never locates them
+        def no_locate(self, x):
+            raise AssertionError("the points were located")
 
-        monkeypatch.setattr(backend, "_locate_scan", no_scan)
+        monkeypatch.setattr(Partition, "locate0", no_locate)
         dgp = DgpSpec(
             family="gaussian_linear",
             true_params=(0.5, 1.0, -0.7, 0.3, 0.2, -0.1, 0.4, 1.0),
@@ -349,8 +348,6 @@ class TestSharedPipeline:
         data_rng, part_seed = _rep_streams(cfg.master_seed, 0)
         x = simulate_dataset(dgp, data_rng).x
         part, cells = _build_partition(cfg, x, part_seed)
-        with pytest.raises(AssertionError, match="the box scan ran"):
-            part.locate0(x)  # the cliff the build's own cells avoid
         assert part.J == 121 and cells.shape == (2000,)
 
 

@@ -27,6 +27,8 @@ from condgof.partition import (
     product_partition,
 )
 
+from locate_oracle import locate_scan
+
 
 def _json_text(part):
     """The partition's document as JSON text, the way the CLI writes it."""
@@ -120,6 +122,9 @@ class TestGessaman:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             gessaman_partition(_uniform(7, 3, 2), 2)  # needs 8
+        # 2**64 would wrap to 0 in numpy's int64
+        with pytest.raises(InsufficientDataError, match="T\\^k = 18446744073709551616 points"):
+            gessaman_partition(_uniform(10, 64, 2), np.int64(2))
         with pytest.raises(InsufficientDataError, match="need at least T = 3 points, got 2"):
             marginal_grid_partition(_uniform(2, 2, 2), 3)
         x = _uniform(20, 2, 2)
@@ -322,17 +327,10 @@ def _probes(part, rng, n):
     return np.column_stack(cols)
 
 
-def _spy_scan():
-    """Patch the box scan with a mock that records each fallback to it."""
-    return mock.patch.object(backend, "_locate_scan", wraps=backend._locate_scan)
-
-
-def _assert_table_is_scan(part, pts):
-    """locate_cells answers from its slot table exactly as the box scan would."""
-    with _spy_scan() as scan:
-        got = backend.locate_cells(pts, part.lower, part.upper)
-    assert not scan.called, "the slot table was not used"
-    np.testing.assert_array_equal(got, backend._locate_scan(pts, part.lower, part.upper))
+def _assert_kernel_is_oracle(part, pts):
+    """locate_cells gives the box scan's int64 indices."""
+    got = backend.locate_cells(pts, part.lower, part.upper)
+    np.testing.assert_array_equal(got, locate_scan(pts, part.lower, part.upper))
     assert got.dtype == np.int64
 
 
@@ -345,7 +343,7 @@ def _built(kind, x, T, r, seed):
 
 
 class TestLocateTable:
-    """The slot table of backend.locate_cells against the box scan it replaces."""
+    """backend.locate_cells against the box scan of tests/locate_oracle.py."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -365,14 +363,14 @@ class TestLocateTable:
             part = _built(kind, x, T, r, seed)
         except InsufficientDataError:
             assume(False)
-        _assert_table_is_scan(part, np.concatenate((x, _probes(part, rng, 400))))
+        _assert_kernel_is_oracle(part, np.concatenate((x, _probes(part, rng, 400))))
         # a file partition without one cell does not tile R^k: its points are uncovered
         doc = partition_to_dict(part)
         gone = int(rng.integers(part.J))
         del doc["cells"][gone]
         if doc["cells"]:
             holed = partition_from_dict(doc)
-            _assert_table_is_scan(holed, np.concatenate((x, _probes(part, rng, 400))))
+            _assert_kernel_is_oracle(holed, np.concatenate((x, _probes(part, rng, 400))))
             cells = part.locate0(x)
             want = np.where(cells == gone, -1, cells - (cells > gone))
             np.testing.assert_array_equal(backend.locate_cells(x, *holed.bounds()), want)
@@ -384,7 +382,7 @@ class TestLocateTable:
         )
         rng = np.random.Generator(np.random.Philox(3))
         pts = np.concatenate((_probes(part, rng, 500), rng.uniform(-0.5, 1.5, (500, 2))))
-        _assert_table_is_scan(part, pts)
+        _assert_kernel_is_oracle(part, pts)
         probes = np.array([[0.0, 0.5], [0.3, 0.5], [0.3, 0.6], [1.0, 1.0], [1.0, 1.1]])
         assert backend.locate_cells(probes, *part.bounds()).tolist() == [-1, 0, 1, 5, -1]
 
@@ -397,12 +395,12 @@ class TestLocateTable:
         a = rng.integers(0, 5, (J, k))
         b = a + 1 + (rng.integers(0, 6, (J, k)) % (6 - 1 - a))
         part = Partition(values[a], values[b])
-        _assert_table_is_scan(part, _probes(part, rng, 300))
+        _assert_kernel_is_oracle(part, _probes(part, rng, 300))
 
     def test_overlap_goes_to_the_first_cell(self):
         part = Partition(np.array([[0.0], [-1.0], [1.0]]), np.array([[2.0], [3.0], [np.inf]]))
         pts = np.array([[-1.0], [-0.5], [0.0], [1.5], [2.0], [2.5], [3.0], [np.inf], [np.nan]])
-        _assert_table_is_scan(part, pts)
+        _assert_kernel_is_oracle(part, pts)
         idx = backend.locate_cells(pts, part.lower, part.upper)
         assert idx.tolist() == [-1, 1, 1, 0, 0, 1, 1, 2, -1]
 
@@ -412,30 +410,49 @@ class TestLocateTable:
         pts = np.array(
             [[np.nan, 0.0], [0.0, np.nan], [-np.inf, 0.0], [0.0, -np.inf], [np.inf, np.inf]]
         )
-        _assert_table_is_scan(part, pts)
+        _assert_kernel_is_oracle(part, pts)
         idx = backend.locate_cells(pts, part.lower, part.upper)
         assert idx.tolist() == [-1, -1, -1, -1, top]
         with pytest.raises(UncoveredPointError, match="row 0"):
             part.locate0(pts)
 
-    def test_both_sides_of_the_cap(self, monkeypatch):
-        x = np.round(_uniform(300, 3, 31), 1)
-        part, _ = rtp_partition(x, 3, 2, seed=7)
-        # |e_d| + 1 slots per axis: the distinct bounds less the two infinities, plus 1
-        entries = math.prod(
-            np.unique(np.concatenate((part.lower[:, d], part.upper[:, d]))).size - 1
-            for d in range(part.k)
+    @pytest.mark.parametrize("J", [63, 64, 65, 128, 129])
+    def test_word_boundaries(self, J):
+        # the J cells fill ceil(J / 64) words: the last one nearly full (63), full
+        # (64, 128) or holding one cell (65, 129)
+        edges = np.linspace(0.0, 1.0, J + 1)
+        part = product_partition([edges])
+        rng = np.random.Generator(np.random.Philox(J))
+        pts = np.concatenate((_probes(part, rng, 2000), rng.uniform(-0.1, 1.1, (2000, 1))))
+        _assert_kernel_is_oracle(part, pts)
+        # the same cells in reverse order move each point to the other end of the words
+        _assert_kernel_is_oracle(Partition(part.lower[::-1], part.upper[::-1]), pts)
+        # cells J to 2J - 1 cover the whole line: a point outside [0, 1] falls
+        # to cell J, one inside keeps its own cell
+        wide = Partition(
+            np.concatenate((part.lower, np.full((J, 1), -np.inf))),
+            np.concatenate((part.upper, np.full((J, 1), np.inf))),
         )
-        pts = np.concatenate((x, _probes(part, np.random.Generator(np.random.Philox(8)), 600)))
-        want = backend._locate_scan(pts, part.lower, part.upper)
-        for cap, scanned in ((entries, False), (entries - 1, True), (0, True)):
-            monkeypatch.setattr(backend, "_TABLE_CAP", cap)
-            with _spy_scan() as scan:
-                got = backend.locate_cells(pts, part.lower, part.upper)
-            assert scan.called == scanned, cap
-            np.testing.assert_array_equal(got, want)
+        _assert_kernel_is_oracle(wide, pts)
+
+    def test_no_axes(self):
+        # with k = 0 every cell is all of R^0, and the first one wins
+        part = Partition(np.zeros((3, 0)), np.zeros((3, 0)))
+        pts = np.zeros((4, 0))
+        _assert_kernel_is_oracle(part, pts)
+        assert backend.locate_cells(pts, part.lower, part.upper).tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("k, T, r", [(6, 3, 10), (24, 2, 1)])
+    def test_many_axes(self, k, T, r):
+        # rtp trees of 121 and 25 cells: each point ANDs the sets of 6 or 24 axes
+        x = _uniform(2000, k, 40 + k)
+        part, cells = rtp_partition(x, T, r, seed=k)
+        rng = np.random.Generator(np.random.Philox(k))
+        pts = np.concatenate((x, _probes(part, rng, 2000)))
+        _assert_kernel_is_oracle(part, pts)
+        np.testing.assert_array_equal(backend.locate_cells(x, *part.bounds()), cells)
         with pytest.raises(UncoveredPointError, match="row 1"):
-            part.locate0(np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]))
+            part.locate0(np.concatenate((x[:1], np.full((1, k), np.nan))))
 
 
 class TestSerialization:
