@@ -2,13 +2,13 @@
 
 Built partitions hand over each row's cell, so locate_cells serves only a
 partition file, the Monte Carlo law grid and direct Partition.locate0
-callers such as estimate.min_chisq_estimate. One kernel serves every
-partition, guillotine or not: each axis is cut at its distinct cell bounds,
-each slot of an axis keeps a bitset of the cells holding it, and a point
-ANDs the k bitsets of its slots and takes the lowest set bit. That costs
-O(n·k·(log J + J/64)) time and k·(2J + 1)·ceil(J/64) words for the
-bitsets. A point with a NaN or -inf coordinate lies in no cell. The normal
-special functions come from the standard library.
+callers, such as estimate.min_chisq_estimate without cells. One kernel
+serves every partition, guillotine or not: each axis is cut at its distinct
+cell bounds, each slot of an axis keeps a bitset of the cells holding it,
+and a point ANDs the k bitsets of its slots and takes the lowest set bit.
+That costs O(n·k·(log J + J/64)) time and k·(2J + 1)·ceil(J/64) words for
+the bitsets. A point with a NaN or -inf coordinate lies in no cell. The
+normal special functions come from the standard library.
 
 - normal_cdf: the standard library's math.erfc, mapped over an array
   element by element; normal_cdf states its measured accuracy.

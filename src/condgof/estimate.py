@@ -45,12 +45,12 @@ from .models import (
     Dataset,
     _check_k,
     _design,
+    bin_pivots,
     log_likelihood,
-    response_bins,
 )
 from .partition import Partition
 from .stats import _grouped_terms, _score_moments
-from .tabulate import ContingencyTable, UGrid, require_positive_columns, tabulate_cells
+from .tabulate import ContingencyTable, UGrid, as_cells, require_positive_columns, tabulate_cells
 
 
 @dataclass(frozen=True)
@@ -218,6 +218,8 @@ def min_chisq_estimate(
     partition: Partition,
     init,
     config: OptimizerConfig = OptimizerConfig(),
+    *,
+    cells=None,
 ) -> np.ndarray:
     """One Gauss-Newton step of the grouped (minimum chi-square) problem from init.
 
@@ -229,22 +231,25 @@ def min_chisq_estimate(
     when its re-binned d'Gd is below init's by a relative 1e-12 (a tie up to
     rounding keeps init); init is also returned when validate_theta refuses
     the step or its table cannot be formed. So the result is never worse
-    than init. config is accepted for compatibility and not read. Wrong k
-    or a partition that does not cover the data raises InvalidArgumentError,
-    an empty covariate cell EmptyCellError, a table at init that fails with
-    a package error (such as a NaN pivot) or FloatingPointError
-    InvalidStartError, non-finite moments SingularInformationError.
-    Anything else propagates.
+    than init. config is accepted for compatibility and not read. cells,
+    each row's 0-based cell of partition, is checked by tabulate.as_cells;
+    without it partition.locate0 locates the rows. Both tables bin through
+    one bound model.pivot_map. Wrong k, bad cells or a partition that does
+    not cover the data raise InvalidArgumentError, an empty covariate cell
+    EmptyCellError, a table at init that fails with a package error (such as
+    a NaN pivot) or FloatingPointError InvalidStartError, non-finite moments
+    SingularInformationError. Anything else propagates.
     """
     theta = model.validate_theta(init)
     _check_k(model, data)
-    cells = partition.locate0(data.x)
+    cells = partition.locate0(data.x) if cells is None else as_cells(cells, data.n, partition.J)
     edges = model.pivot_edges(grid.thresholds)
 
-    def table_at(th: np.ndarray) -> ContingencyTable:
-        return tabulate_cells(response_bins(model, th, data, edges), cells, grid, partition.J)
+    def table_at(th: np.ndarray) -> ContingencyTable:  # th already validated
+        return tabulate_cells(bin_pivots(pivot(th), edges), cells, grid, partition.J)
 
     try:
+        pivot = model.pivot_map(data.y, data.x)
         table = table_at(theta)
     except (CondgofError, FloatingPointError) as exc:
         raise InvalidStartError("objective at init is not finite") from exc

@@ -253,7 +253,7 @@ def run_pipeline(
                 model, data, init, OptimizerConfig(max_iterations=500, tolerance=1e-6)
             )
     if estimator == "min_chisq":
-        theta = min_chisq_estimate(model, data, grid, partition, theta)
+        theta = min_chisq_estimate(model, data, grid, partition, theta, cells=cells)
 
     bins = response_bins(model, theta, data, model.pivot_edges(grid.thresholds))
     table = tabulate_cells(bins, cells, grid, partition.J)

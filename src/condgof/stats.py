@@ -100,7 +100,7 @@ def policy_df(estimator: str, L: int, J: int, p: int) -> int:
 
 def _expected(table: ContingencyTable) -> np.ndarray:
     require_positive_columns(table)
-    return np.outer(table.widths, table.column_counts.astype(np.float64))
+    return table.expected
 
 
 def _pearson(O: np.ndarray, E: np.ndarray) -> float:

@@ -6,16 +6,23 @@ tabulate_cells cross-classifies each row's 0-based response bin
 (models.response_bins) against its 0-based covariate cell, which as_cells
 checks, and gives the observed table O. A table is its counts plus its
 grid; the margins derive from O, so its column sums are the partition cell
-counts by construction.
+counts by construction. Tables and grids are immutable, so each margin is
+computed once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyCellError, InvalidArgumentError, as_float_array, as_integer
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +39,7 @@ class UGrid:
             raise InvalidArgumentError("grid must start at 0 and end at 1")
         if not (np.diff(t) > 0).all():
             raise InvalidArgumentError("grid thresholds must be strictly increasing")
-        t.flags.writeable = False
-        object.__setattr__(self, "thresholds", t)
+        object.__setattr__(self, "thresholds", _read_only(t))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UGrid):
@@ -44,9 +50,9 @@ class UGrid:
     def L(self) -> int:
         return self.thresholds.shape[0] - 1
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.thresholds)
+        return _read_only(np.diff(self.thresholds))
 
 
 def balanced_grid(L: int) -> UGrid:
@@ -64,7 +70,8 @@ class ContingencyTable:
     is a grid that is not a UGrid.
 
     The margins derive from O: column_counts N_j are its column sums, n its
-    total and q_hat = N_j / n; widths are the grid's bin widths.
+    total, q_hat = N_j / n and expected = w_l N_j, for the grid's bin widths
+    w_l. Each is computed once, on first read, and is read-only.
     """
 
     O: np.ndarray
@@ -92,8 +99,7 @@ class ContingencyTable:
             raise InvalidArgumentError(
                 f"O has {O.shape[0]} rows but the grid has {self.grid.L} bins"
             )
-        O.flags.writeable = False
-        object.__setattr__(self, "O", O)
+        object.__setattr__(self, "O", _read_only(O))
 
     @property
     def L(self) -> int:
@@ -107,17 +113,21 @@ class ContingencyTable:
     def widths(self) -> np.ndarray:
         return self.grid.widths
 
-    @property
+    @cached_property
     def column_counts(self) -> np.ndarray:
-        return self.O.sum(axis=0)
+        return _read_only(self.O.sum(axis=0))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return int(self.O.sum())
 
-    @property
+    @cached_property
     def q_hat(self) -> np.ndarray:
-        return self.column_counts / self.n
+        return _read_only(self.column_counts / self.n)
+
+    @cached_property
+    def expected(self) -> np.ndarray:
+        return _read_only(np.outer(self.widths, self.column_counts.astype(np.float64)))
 
 
 def as_cells(cells, n: int, J: int, counts: np.ndarray | None = None) -> np.ndarray:

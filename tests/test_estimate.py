@@ -21,12 +21,14 @@ from condgof import (
     balanced_grid,
     Partition,
     gessaman_partition,
+    law_grid_partition,
     lr_stat,
     min_chisq_estimate,
     mle_gaussian_linear,
     mle_numeric,
     pearson_stat,
     rosenblatt,
+    rtp_partition,
 )
 from condgof.models import ConditionalModel, bin_pivots, log_likelihood
 from condgof.mc import DgpSpec, _rep_streams, simulate_dataset
@@ -558,6 +560,47 @@ class TestMinChisq:
             min_chisq_estimate(
                 GaussianLinearModel(k=1), data, balanced_grid(4), part,
                 np.array([0.0, 1.0, 1.0]), OptimizerConfig(restarts=0),
+            )
+
+    @pytest.mark.parametrize("kind", ["rtp", "gessaman", "grid"])
+    def test_given_cells_equal_located_ones(self, kind):
+        # run_pipeline passes the build's cells; the step must not depend on
+        # whether it was handed them or located them itself
+        dgp = DgpSpec("gaussian_linear", (0.5, 1.0, -0.7, 1.0), "uniform", 300, 2)
+        model = GaussianLinearModel(k=2)
+        grid = balanced_grid(4)
+        taken = 0
+        for seed in range(6):
+            data = simulate_dataset(dgp, _rep_streams(seed, 0)[0])
+            if kind == "rtp":
+                part = rtp_partition(data.x, 2, 2, seed)[0]
+            elif kind == "gessaman":
+                part = gessaman_partition(data.x, 2)[0]
+            else:
+                part = law_grid_partition("uniform", 2, 3)
+            init = mle_gaussian_linear(data)
+            located = min_chisq_estimate(model, data, grid, part, init)
+            given = min_chisq_estimate(model, data, grid, part, init, cells=part.locate0(data.x))
+            assert np.array_equal(given, located)
+            taken += not np.array_equal(located, init)
+        assert taken >= 2
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda c, J: c[:-1], "1-d integer array of 300 values"),
+            (lambda c, J: np.where(np.arange(c.size) == 7, J, c), r"lie in \[0, 4\)"),
+            (lambda c, J: c.astype(np.float64), "1-d integer array of 300 values"),
+        ],
+        ids=["short", "cell_J", "float"],
+    )
+    def test_bad_cells_are_invalid_argument(self, bad, message):
+        data = _gaussian_data(18, 300, beta=(1.0, 2.0, 3.0))
+        part, cells = gessaman_partition(data.x, 2)
+        with pytest.raises(InvalidArgumentError, match=message):
+            min_chisq_estimate(
+                GaussianLinearModel(k=2), data, balanced_grid(4), part,
+                mle_gaussian_linear(data), cells=bad(cells, part.J),
             )
 
 

@@ -18,20 +18,24 @@ from condgof import (
     RepOutcome,
     SimConfig,
     aggregate,
+    balanced_grid,
     calibrate_df,
     config_from_dict,
     gessaman_partition,
     law_grid_partition,
     mc,
+    min_chisq_estimate,
     resolve_model,
     run_experiment,
     run_pipeline,
     run_replication,
+    run_test,
     simulate_dataset,
 )
 from condgof.estimate import mle_gaussian_linear
 from condgof.mc import _build_partition, _rep_streams, ks_uniform_distance
-from condgof.models import ConditionalModel, GaussianLinearModel
+from condgof.models import ConditionalModel, GaussianLinearModel, response_bins
+from condgof.tabulate import tabulate_cells
 
 NULL_DGP = DgpSpec(
     family="gaussian_linear",
@@ -298,12 +302,13 @@ class TestStreamContract:
 class TestSharedPipeline:
     @pytest.mark.parametrize(
         "kind, estimator, located",
-        [("rtp", "raw_mle", 0), ("gessaman", "raw_mle", 0), ("rtp", "min_chisq", 1),
+        [("rtp", "raw_mle", 0), ("gessaman", "raw_mle", 0), ("rtp", "min_chisq", 0),
          ("grid", "raw_mle", 1)],
     )
     def test_built_partitions_are_not_located(self, monkeypatch, kind, estimator, located):
-        # a build hands over its own cells; min_chisq_estimate locates once for
-        # its step, and the law grid, not built from the data, once
+        # a build hands over its own cells, which run_pipeline passes on to
+        # min_chisq_estimate's step; the law grid, not built from the data, is
+        # located once
         calls = []
         locate0 = Partition.locate0
 
@@ -349,6 +354,33 @@ class TestSharedPipeline:
         x = simulate_dataset(dgp, data_rng).x
         part, cells = _build_partition(cfg, x, part_seed)
         assert part.J == 121 and cells.shape == (2000,)
+
+    @pytest.mark.parametrize("kind", ["rtp", "gessaman", "grid"])
+    def test_min_chisq_is_the_public_step_then_the_table(self, kind):
+        # run_pipeline passes the build's cells to the step and tabulates its
+        # result; the public step locates them itself
+        cfg = _known_cfg(
+            estimator="min_chisq",
+            theta=None,
+            partition=PartitionRule(kind=kind, T=2, r=2),
+            stats=("pearson", "lr", "lm", "neyman", "wald"),
+        )
+        model = GaussianLinearModel(k=2)
+        grid = balanced_grid(cfg.L)
+        for rep in range(4):
+            data_rng, part_seed = _rep_streams(cfg.master_seed, rep)
+            data = simulate_dataset(cfg.dgp, data_rng)
+            part, cells = _build_partition(cfg, data.x, part_seed)
+            theta, table, reports = run_pipeline(
+                model, data, part, cells, cfg.L, "min_chisq", cfg.stats
+            )
+            step = min_chisq_estimate(model, data, grid, part, mle_gaussian_linear(data))
+            bins = response_bins(model, step, data, model.pivot_edges(grid.thresholds))
+            by_hand = tabulate_cells(bins, part.locate0(data.x), grid, part.J)
+            assert np.array_equal(theta, step)
+            assert np.array_equal(table.O, by_hand.O)
+            p = model.param_dim
+            assert reports == {name: run_test(name, by_hand, "min_chisq", p) for name in cfg.stats}
 
 
 class TestPipelineInputs:

@@ -217,6 +217,40 @@ class TestContingencyTable:
         assert t.O.dtype == np.int64
         np.testing.assert_array_equal(t.O, [[3, 2], [1, 4]])
 
+    # each margin against a fresh computation from O and the thresholds
+    MARGINS = {
+        "widths": lambda O, t: np.diff(t),
+        "column_counts": lambda O, t: O.sum(axis=0),
+        "n": lambda O, t: int(O.sum()),
+        "q_hat": lambda O, t: O.sum(axis=0) / int(O.sum()),
+        "expected": lambda O, t: np.outer(np.diff(t), O.sum(axis=0)),
+    }
+
+    def _uneven(self):
+        O = np.random.Generator(np.random.Philox(31)).integers(1, 60, (3, 5))
+        return ContingencyTable(O=O, grid=UGrid(np.array([0.0, 0.15, 0.7, 1.0])))
+
+    @pytest.mark.parametrize("name", MARGINS)
+    def test_margin_equals_a_fresh_computation(self, name):
+        t = self._uneven()
+        fresh = self.MARGINS[name](t.O, t.grid.thresholds)
+        value = getattr(t, name)
+        assert type(value) is type(fresh)
+        if name != "n":
+            assert value.dtype == fresh.dtype
+        assert np.array_equal(value, fresh)  # bit for bit
+
+    @pytest.mark.parametrize("name", [m for m in MARGINS if m != "n"])
+    def test_margin_is_read_only(self, name):
+        value = getattr(self._uneven(), name)
+        with pytest.raises(ValueError, match="read-only"):
+            value[0] = 0
+
+    @pytest.mark.parametrize("name", MARGINS)
+    def test_margin_is_computed_once(self, name):
+        t = self._uneven()
+        assert getattr(t, name) is getattr(t, name)
+
     def test_empty_column_guard(self):
         t = ContingencyTable(O=np.array([[2, 0], [3, 0]]), grid=balanced_grid(2))
         with pytest.raises(EmptyCellError, match="cell 2"):
