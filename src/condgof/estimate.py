@@ -44,7 +44,6 @@ from .models import (
     ConditionalModel,
     Dataset,
     _check_k,
-    _design,
     bin_pivots,
     log_likelihood,
 )
@@ -73,18 +72,40 @@ class OptimizerConfig:
 
 
 def mle_gaussian_linear(data: Dataset) -> np.ndarray:
-    """Closed-form MLE (beta0..betak, sigma) for the Gaussian linear family."""
+    """Closed-form MLE (beta0..betak, sigma) for the Gaussian linear family.
+
+    Least squares by the normal equations on centred covariates xc = x - mean(x):
+    the slopes b solve xc'xc b = xc'(y - mean(y)) and the intercept is
+    mean(y) - mean(x).b, so an intercept offset stays out of the conditioning.
+    SingularDesignError when a covariate's centred sum of squares is at most
+    1e-10 of its raw one (constant) or overflows, or xc'xc scaled to unit
+    diagonal has an eigenvalue ratio below 1e-10 (collinear).
+    """
     n, k = data.n, data.k
     if n < k + 2:
         raise InvalidArgumentError(
             f"need at least k + 2 = {k + 2} observations, got {n}"
         )
-    design = _design(data.x)
-    # lstsq's rank uses matrix_rank's default cutoff, eps * max(n, k + 1) * sigma_max
-    beta, _res, rank, _sv = np.linalg.lstsq(design, data.y, rcond=None)
-    if rank < k + 1:
+    ones = np.ones(n)
+    xm = ones @ data.x / n
+    ym = ones @ data.y / n
+    xc = np.subtract(data.x.T, xm[:, None], order="C")  # (k, n): a covariate per row
+    yc = data.y - ym
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed sum fails the check
+        gram = xc @ xc.T
+        ss = gram.diagonal()
+        ok = (ss > 1e-10 * (ss + n * xm * xm)).all()
+    if not ok:
+        raise SingularDesignError(
+            "design matrix is rank deficient: a covariate is constant or overflows"
+        )
+    s = 1.0 / np.sqrt(ss)
+    w, v = np.linalg.eigh(gram * s[:, None] * s)
+    if w[0] < 1e-10 * w[-1]:
         raise SingularDesignError("design matrix is rank deficient")
-    resid = data.y - design @ beta
+    b = s * (v @ ((s * (xc @ yc)) @ v / w))
+    resid = yc - b @ xc
+    beta = np.concatenate([[ym - xm @ b], b])
     sigma = float(np.sqrt(resid @ resid / n))
     if sigma < _SIGMA_MIN:
         raise DegenerateFitError(

@@ -316,11 +316,17 @@ def rosenblatt(model: ConditionalModel, theta, data: Dataset) -> np.ndarray:
 
 
 def bin_pivots(u, edges: np.ndarray) -> np.ndarray:
-    """0-based bin of each pivot u: l with edges[l] < u <= edges[l + 1], end bins unbounded."""
+    """0-based bin of each pivot u: l with edges[l] < u <= edges[l + 1], end bins unbounded.
+
+    Counts the inner edges below u: searchsorted(edges[1:-1], u, side="left") exactly.
+    """
     u = np.asarray(u, dtype=np.float64)
     if np.isnan(u).any():
         raise ModelEvaluationError("model pivot produced NaN values")
-    return np.searchsorted(edges[1:-1], u, side="left")
+    out = np.zeros(u.shape, dtype=np.intp)
+    for e in edges[1:-1].tolist():
+        out += u > e
+    return out
 
 
 def response_bins(model: ConditionalModel, theta, data: Dataset, edges: np.ndarray) -> np.ndarray:

@@ -166,7 +166,9 @@ def _cut(rows, col: np.ndarray, T: int) -> tuple[list, list[float]]:
         v = col.take(rows)
         # a nominal size past the rows left selects their largest value, and the check raises
         s = min(base + (g < extra), v.shape[0])
-        top = np.partition(v, s - 1)[s - 1]
+        w = v.copy()
+        w.partition(s - 1)
+        top = w[s - 1]
         left = v <= top
         group = rows.compress(left)
         if group.shape[0] == v.shape[0]:
@@ -199,7 +201,7 @@ def _split_node(rows, lo, up, cols: np.ndarray, axis: int, T: int) -> list:
 
 
 def _whole_space(n: int, k: int) -> tuple:
-    return np.arange(n), np.full(k, -np.inf), np.full(k, np.inf)
+    return np.arange(n), [-np.inf] * k, [np.inf] * k
 
 
 def _boxes_partition(boxes: list, n: int, **meta) -> tuple[Partition, np.ndarray]:
@@ -297,13 +299,16 @@ def rtp_partition(
 
     pool = np.repeat(np.arange(k), counts).tolist()  # the axis multiset, sorted
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    # split s draws its position in the multiset from len(pool) - s items; one
+    # vector draw gives the same integers as one draw per split
+    picks = rng.integers(np.arange(len(pool), 0, -1)).tolist()
     cols = np.ascontiguousarray(pts.T)
     terminals = [_whole_space(n, k)]  # (rows, lower, upper) in creation order
     sizes = [n]  # point count of each terminal
-    while pool:
+    for pick in picks:
         # most points first; ties go to the earliest-created terminal
         i = sizes.index(max(sizes))
-        axis = pool.pop(int(rng.integers(len(pool))))
+        axis = pool.pop(pick)
         children = _split_node(*terminals.pop(i), cols, axis, T)
         sizes.pop(i)
         terminals.extend(children)

@@ -505,3 +505,47 @@ def test_14_min_chisq_size():
     for name, rate in (("pearson", pearson_rate), ("lr", lr_rate)):
         assert 0.025 <= rate <= BAND[1], f"{name} rate {rate} outside [0.025, {BAND[1]}]"
         assert res.summary(name).mean_df == 11
+
+
+def test_15_raw_mle_wald_more_parameters_than_df():
+    """The Wald's law does not depend on p, even when p exceeds the table df.
+
+    Gaussian k = 10 at n = 1000, rtp T = 2, r = 1 (J = 11 cells), L = 2:
+    J(L - 1) = 11 table df against p = 12 parameters. The raw-MLE Wald keeps
+    its size with point df 11, while raw-MLE Pearson has no calibration (its
+    lower df is 11 - 12 < 1) and is refused on the same replications.
+    """
+
+    def config(stats):
+        return SimConfig(
+            dgp=DgpSpec(
+                family="gaussian_linear",
+                true_params=HIGH_DIM_DGP.true_params,
+                covariate_law="uniform",
+                n=1000,
+                k=10,
+            ),
+            model="gaussian_linear",
+            estimator="raw_mle",
+            L=2,
+            partition=PartitionRule(kind="rtp", T=2, r=1),
+            stats=stats,
+            levels=(0.05,),
+            replications=R,
+            master_seed=1018,
+        )
+
+    res = run_experiment(config(("wald",)))
+    rate = res.rate("wald", 0.05)
+    summ = res.summary("wald")
+    se = float(np.sqrt(summ.variance / (res.replications - res.failed)))
+    refused = [run_replication(config(("pearson",)), i).error for i in range(5)]
+    print(
+        f"[15] p = 12 > 11 df: wald rate {rate}; mean {summ.mean:.4f} vs reported df "
+        f"{summ.mean_df} (3se = {3 * se:.4f}), failed {res.failed}; pearson: {refused[0]}"
+    )
+    assert res.failed == 0
+    assert BAND[0] <= rate <= BAND[1], f"wald rate {rate} outside {BAND}"
+    assert summ.mean_df == 11
+    assert abs(summ.mean - summ.mean_df) <= 3.0 * se
+    assert all(e is not None and e.startswith("InvalidDfError: lower df endpoint") for e in refused)

@@ -97,6 +97,55 @@ class TestGaussianClosedForm:
         with pytest.raises(SingularDesignError):
             mle_gaussian_linear(data)
 
+    @pytest.mark.parametrize("k", [1, 4, 40])
+    def test_matches_lstsq_over_domain(self, k):
+        # The stated domain: column scales 1e-3 to 1e3, covariate offsets up
+        # to 1e3 standard deviations, standardized effects 0.5 to 2 in size.
+        # The reference is lstsq on the design with unit-norm columns: plain
+        # lstsq bounds its error by the largest coefficient, and here the
+        # coefficients span six orders of magnitude.
+        for seed in range(20):
+            rng = np.random.Generator(np.random.Philox([k, seed]))
+            n = int(rng.integers(500, 3000))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, k)
+            offset = rng.uniform(-1e3, 1e3, k) * (seed % 2)
+            z = rng.standard_normal((n, k))
+            effect = rng.uniform(0.5, 2.0, k + 1) * rng.choice([-1.0, 1.0], k + 1)
+            y = effect[0] + z @ effect[1:] + rng.uniform(0.1, 1.0) * rng.standard_normal(n)
+            design = np.column_stack([np.ones(n), (z + offset) * scale])
+            norms = np.sqrt((design * design).sum(axis=0))
+            beta = np.linalg.lstsq(design / norms, y, rcond=None)[0] / norms
+            resid = y - design @ beta
+            want = np.append(beta, np.sqrt(resid @ resid / n))
+            got = mle_gaussian_linear(Dataset(y=y, x=design[:, 1:]))
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0, err_msg=f"seed {seed}")
+
+    @pytest.mark.parametrize("k", [2, 4, 40])
+    def test_exactly_collinear_column_is_singular(self, k):
+        rng = np.random.Generator(np.random.Philox(k))
+        x = rng.uniform(-1.0, 1.0, (500, k)) * 10.0 ** rng.uniform(-3.0, 3.0, k) + 50.0
+        x[:, -1] = x[:, 0] - 3.0 * x[:, k // 2] if k > 2 else 7.0 * x[:, 0]
+        with pytest.raises(SingularDesignError):
+            mle_gaussian_linear(Dataset(y=rng.standard_normal(500), x=x))
+
+    @pytest.mark.parametrize("value", [0.0, 0.1, -3.7, 1e3, 1e-300])
+    def test_constant_covariate_is_singular(self, value):
+        # the column's mean rounds, so its centred values are tiny, not zero
+        rng = np.random.Generator(np.random.Philox(6))
+        for n, k in ((7, 1), (333, 3), (2000, 4)):
+            x = rng.uniform(-1.0, 1.0, (n, k))
+            x[:, k // 2] = value
+            with pytest.raises(SingularDesignError, match="constant"):
+                mle_gaussian_linear(Dataset(y=rng.standard_normal(n), x=x))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    def test_overflowing_sum_of_squares_is_singular_without_warning(self, scale):
+        # warnings are errors in this suite, so an overflow warning would fail the raises
+        rng = np.random.Generator(np.random.Philox(8))
+        x = rng.uniform(-1.0, 1.0, (500, 2)) * [1.0, scale]
+        with pytest.raises(SingularDesignError, match="overflows"):
+            mle_gaussian_linear(Dataset(y=rng.standard_normal(500), x=x))
+
     def test_too_few_rows(self):
         with pytest.raises(InvalidArgumentError):
             mle_gaussian_linear(Dataset(y=[1.0, 2.0], x=[[0.1], [0.2]]))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from condgof import (
@@ -23,7 +25,7 @@ from condgof.errors import (
     ModelEvaluationError,
 )
 from condgof.mc import ks_uniform_distance
-from condgof.models import _design, log_likelihood, response_bins
+from condgof.models import _design, bin_pivots, log_likelihood, response_bins
 
 
 class TestDataset:
@@ -284,6 +286,36 @@ class TestResponseBins:
             v = model.cdf(data.y, data.x, (1e5, 0.0))
         np.testing.assert_array_equal(bins, [3, 3])
         np.testing.assert_array_equal(v, [1.0, 1.0])
+
+
+@st.composite
+def _edges_and_pivots(draw):
+    """Bin edges -inf < e_1 < ... < e_{L-1} < inf, L in 1..64, and pivots that hit them."""
+    L = draw(st.integers(min_value=1, max_value=64))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    inner = sorted(draw(st.lists(finite, min_size=L - 1, max_size=L - 1, unique=True)))
+    specials = inner + [0.0, -0.0, np.inf, -np.inf]
+    u = draw(st.lists(st.one_of(st.sampled_from(specials), st.floats(allow_nan=False)), max_size=40))
+    return np.array([-np.inf] + inner + [np.inf]), np.array(u, dtype=np.float64)
+
+
+class TestBinPivots:
+    @settings(max_examples=200, deadline=None)
+    @given(_edges_and_pivots())
+    def test_equals_binary_search(self, case):
+        # counting the inner edges below u is the left-sided binary search,
+        # ties (u equal to an edge, 0.0 against -0.0) and infinities included
+        edges, u = case
+        got = bin_pivots(u, edges)
+        want = np.searchsorted(edges[1:-1], u, side="left")
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("L", [1, 4, 64])
+    def test_nan_raises(self, L):
+        edges = np.array([-np.inf] + list(np.linspace(-1.0, 1.0, L - 1)) + [np.inf])
+        with pytest.raises(ModelEvaluationError, match="NaN"):
+            bin_pivots([0.5, np.nan, -0.5], edges)
 
 
 class _LocationCdf(ConditionalModel):

@@ -226,6 +226,17 @@ class TestRtp:
         assert np.array_equal(p1.locate0(x), p2.locate0(x))
         assert p1 != p3 or not np.array_equal(p1.locate0(x), p3.locate0(x))
 
+    @pytest.mark.parametrize("K", [1, 2, 7, 80, 1000])
+    def test_one_draw_replays_sequential_draws(self, K):
+        # rtp_partition draws every split's position in the axis multiset at
+        # once; the seeded partitions stay as they were only while that vector
+        # draw consumes the Philox stream as K scalar draws from K, K - 1, ..., 1
+        for seed in range(50):
+            one = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            each = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            want = [int(each.integers(m)) for m in range(K, 0, -1)]
+            assert one.integers(np.arange(K, 0, -1)).tolist() == want, (K, seed)
+
     def test_axis_budget_respected(self):
         x = _uniform(200, 2, 10)
         part, _ = rtp_partition(x, 2, 3, seed=4)
